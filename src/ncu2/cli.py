@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -31,6 +32,10 @@ from .identities import SUITES, run_suite
 from .parser import ParseError, evaluate
 from .spinreps import ch_residual, radius_residual
 from .theta import derive
+
+
+class UsageError(Exception):
+    """Bad input that the argument parser cannot see; exits 2."""
 
 
 def _fraction(text: str) -> Fraction:
@@ -136,10 +141,14 @@ def _read_init(source: str):
         vals = [float(v) for v in fh.read().replace(",", " ").split()]
     if len(vals) != 4:
         raise ValueError(f"init file must hold four numbers, found {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"init file values must be finite, got {vals}")
     return tuple(vals)
 
 
 def _cmd_solve_hedgehog(args) -> int:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     hbar = float(args.hbar)
     r0 = float(args.r0)
     init = _read_init(args.init)
@@ -195,7 +204,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"ncu2: {exc}", file=sys.stderr)
         return 2
     except (HedgehogError, ValueError, OSError) as exc:

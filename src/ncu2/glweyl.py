@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import H, ONE, Scalar, ZERO
+from .scalars import H, ONE, Scalar
+from .sparse import SparseSum, accumulate
 
 # symbols: ('l', i, j) generator, ('d', i, j, hat) derivative
 L_KIND = "l"
@@ -100,19 +101,21 @@ def _canon(terms):
                 work.append((w[:idx] + repl + w[idx + 2 :], c * factor))
             break
         else:
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
+            accumulate(out, w, c)
     return out
 
 
-class GlWeylElement:
+def _sym_str(s) -> str:
+    if s[0] == L_KIND:
+        return f"l[{s[1]},{s[2]}]"
+    hat = "^" if s[3] else ""
+    return f"d{hat}[{s[1]},{s[2]}]"
+
+
+class GlWeylElement(SparseSum):
     """Canonical element of the quantum double of U(gl(m)_h)."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m",)
 
     def __init__(self, m: int, terms=None, _canonical=False):
         self.m = m
@@ -137,35 +140,20 @@ class GlWeylElement:
 
     # -- algebra --------------------------------------------------------
 
-    def _check(self, other):
+    def _like(self):
+        return GlWeylElement(self.m, _canonical=True)
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction, Scalar)):
+            return GlWeylElement.scalar(self.m, other)
+        if not isinstance(other, GlWeylElement):
+            return None
         if self.m != other.m:
             raise ValueError("mixed gl(m) sizes")
+        return other
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = GlWeylElement.scalar(self.m, other)
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
-        return GlWeylElement(self.m, out, _canonical=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GlWeylElement(
-            self.m, {w: -c for w, c in self.terms.items()}, _canonical=True
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = GlWeylElement.scalar(self.m, other)
-        return self + (-other)
+    def _key_str(self, w):
+        return "*".join(_sym_str(s) for s in w) or "1"
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -173,14 +161,13 @@ class GlWeylElement:
             return GlWeylElement(
                 self.m, {w: v * c for w, v in self.terms.items()}
             )
-        self._check(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         prod = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                acc = prod.get(w)
-                prod[w] = c if acc is None else acc + c
+                accumulate(prod, w1 + w2, c1 * c2)
         return GlWeylElement(self.m, prod)
 
     def __rmul__(self, other):
@@ -193,45 +180,13 @@ class GlWeylElement:
             return NotImplemented
         return self.m == other.m and self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __hash__(self):
         return hash((self.m, frozenset(self.terms.items())))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-
-        def sym_str(s):
-            if s[0] == L_KIND:
-                return f"l[{s[1]},{s[2]}]"
-            hat = "^" if s[3] else ""
-            return f"d{hat}[{s[1]},{s[2]}]"
-
-        parts = []
-        for w, c in sorted(self.terms.items()):
-            ws = "*".join(sym_str(s) for s in w) or "1"
-            parts.append(f"({c})*{ws}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
     # -- structure -------------------------------------------------------
-
-    def is_coordinate(self) -> bool:
-        return all(s[0] == L_KIND for w in self.terms for s in w)
 
     def is_derivative(self) -> bool:
         return all(s[0] == D_KIND for w in self.terms for s in w)
-
-
-def normal_order(e: GlWeylElement) -> GlWeylElement:
-    """PBW canonical form (identity on already-constructed elements)."""
-    return GlWeylElement(e.m, dict(e.terms))
-
-
-permute = normal_order  # same engine; derivatives end up rightmost
 
 
 def apply_qpd(p: GlWeylElement, q: GlWeylElement) -> GlWeylElement:
@@ -240,17 +195,11 @@ def apply_qpd(p: GlWeylElement, q: GlWeylElement) -> GlWeylElement:
     Permute p*q so all derivative symbols are rightmost, then let the
     trailing derivative block act on 1.
     """
-    prod = p * q
-    out = {}
-    for w, c in prod.terms.items():
-        if any(s[0] == D_KIND for s in w):
-            continue  # "send to zero all terms containing at least one ∂"
-        acc = out.get(w)
-        acc = c if acc is None else acc + c
-        if acc:
-            out[w] = acc
-        elif w in out:
-            del out[w]
+    # "send to zero all terms containing at least one ∂"; the surviving
+    # words are distinct, so nothing needs accumulating
+    out = {
+        w: c for w, c in (p * q).terms.items() if all(s[0] != D_KIND for s in w)
+    }
     return GlWeylElement(p.m, out, _canonical=True)
 
 
@@ -273,12 +222,7 @@ class TensorElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            acc = out.get(k)
-            acc = v if acc is None else acc + v
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
+            accumulate(out, k, v)
         t = TensorElement(self.m)
         t.terms = out
         return t
@@ -293,11 +237,9 @@ class TensorElement:
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (tuple(sorted(a1 + a2)), tuple(sorted(b1 + b2)))
-                c = c1 * c2
-                acc = out.get(k)
-                out[k] = c if acc is None else acc + c
+                accumulate(out, k, c1 * c2)
         t = TensorElement(self.m)
-        t.terms = {k: v for k, v in out.items() if v}
+        t.terms = out
         return t
 
     __rmul__ = __mul__
@@ -327,13 +269,9 @@ def coproduct(e: GlWeylElement) -> TensorElement:
             dt.terms[((dsym(i, j),), ())] = ONE
             dt.terms[((), (dsym(i, j),))] = ONE
             for k in range(1, m + 1):
-                key = ((dsym(k, j),), (dsym(i, k),))
-                acc = dt.terms.get(key)
-                dt.terms[key] = H if acc is None else acc + H
+                accumulate(dt.terms, ((dsym(k, j),), (dsym(i, k),)), H)
             if hat:  # Δ(1/h) = (1/h) 1⊗1
-                key = ((), ())
-                acc = dt.terms.get(key)
-                dt.terms[key] = _INV_H if acc is None else acc + _INV_H
+                accumulate(dt.terms, ((), ()), _INV_H)
             t = t * dt
         total = total + t
     return total

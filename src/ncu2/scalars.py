@@ -340,11 +340,6 @@ class Scalar:
         num, den = _cancel(num, dict(den_dict))
         return cls._make(num, tuple(sorted(den.items(), key=lambda fe: _fkey(fe[0]))))
 
-    @classmethod
-    def fraction(cls, num, den) -> "Scalar":
-        """Exact quotient of two scalars."""
-        return cls(num) / cls(den)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -462,9 +457,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.num)
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __eq__(self, other):
         other = _as_scalar(other)
         if other is NotImplemented:
@@ -475,12 +467,6 @@ class Scalar:
         if self._hash is None:
             self._hash = hash((self.num, self.den))
         return self._hash
-
-    def depends_on(self, name: str) -> bool:
-        idx = {"tau": 0, "rhat": 1, "hbar": 2}[name]
-        if any(m[idx] for m in self.num.monoms()):
-            return True
-        return any(m[idx] for f, _ in self.den for m in f.monoms())
 
     # -- calculus on the centre ----------------------------------------
 
@@ -624,12 +610,6 @@ TAU = Scalar._make(_TAU, ())
 RHAT = Scalar._make(_RHAT, ())
 HBAR = Scalar._make(_HBAR, ())
 H = I * HBAR * 2  # the algebra-level deformation parameter, h = 2i*hbar
-T = I * TAU  # the time generator: t = i*tau, tau = -i*t
-
-# A CentralFunction is a Scalar that may depend on tau and rhat; a
-# RationalScalar is one depending on hbar only.  Both share the type.
-CentralFunction = Scalar
-RationalScalar = Scalar
 
 
 def rational(num, den=1) -> Scalar:

@@ -20,12 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import HBAR, I, ONE, RHAT, Scalar, ZERO
-
-_INV_2H = ONE / (HBAR * 2)
-_INV_2RH = ONE / (RHAT * HBAR * 2)
-_INV_2R = ONE / (RHAT * 2)
-_I_2R = I / (RHAT * 2)
+from .scalars import ONE, Scalar, ZERO
+from .sparse import SparseSum, accumulate
+from .u2 import CoeffRing
 
 
 def atom(name: str, p: int = 0, q: int = 0):
@@ -48,10 +45,10 @@ def _atom_str(a) -> str:
     return f"{name}({arg('tau', p)}, {arg('rhat', q)})"
 
 
-class FuncExpr:
+class FuncExpr(SparseSum):
     """Sum of scalar-coefficient products of shifted profile atoms."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {k: c for k, c in (terms or {}).items() if c}
@@ -65,77 +62,41 @@ class FuncExpr:
     def symbol(cls, name: str, p: int = 0, q: int = 0) -> "FuncExpr":
         return cls({(atom(name, p, q),): ONE})
 
-    def __add__(self, other):
-        other = _as_funcexpr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        e = FuncExpr()
-        e.terms = out
-        return e
+    def _like(self):
+        return FuncExpr()
 
-    __radd__ = __add__
+    def _coerce(self, other):
+        if isinstance(other, FuncExpr):
+            return other
+        if isinstance(other, (int, Fraction, Scalar)):
+            return FuncExpr.from_scalar(other)
+        return None
 
-    def __neg__(self):
-        e = FuncExpr()
-        e.terms = {k: -c for k, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        other = _as_funcexpr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    def _key_str(self, k):
+        return "*".join(_atom_str(a) for a in k)
 
     def __rsub__(self, other):
-        return _as_funcexpr(other) + (-self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        other = _as_funcexpr(other)
-        if other is NotImplemented:
+        if isinstance(other, Scalar):
+            return self.mul_scalar(other)
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = tuple(sorted(k1 + k2))
-                c = c1 * c2
-                acc = out.get(k)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[k] = acc
-                elif k in out:
-                    del out[k]
-        e = FuncExpr()
-        e.terms = out
-        return e
+                accumulate(out, tuple(sorted(k1 + k2)), c1 * c2)
+        return self._new(out)
 
     __rmul__ = __mul__
 
     def mul_scalar(self, s: Scalar) -> "FuncExpr":
         if not s:
             return FuncExpr()
-        e = FuncExpr()
-        e.terms = {k: c * s for k, c in self.terms.items()}
-        return e
-
-    def __eq__(self, other):
-        other = _as_funcexpr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._new({k: c * s for k, c in self.terms.items()})
 
     # -- structure ------------------------------------------------------
 
@@ -163,12 +124,10 @@ class FuncExpr:
         """tau -> tau + p*hbar, rhat -> rhat + q*hbar, everywhere."""
         if p == 0 and q == 0:
             return self
-        e = FuncExpr()
-        e.terms = {
+        return self._new({
             tuple(sorted((n, a + p, b + q) for n, a, b in k)): c.shift_args(p, q)
             for k, c in self.terms.items()
-        }
-        return e
+        })
 
     def substitute(self, bindings) -> "FuncExpr":
         """Replace profile symbols by concrete central functions.
@@ -206,30 +165,8 @@ class FuncExpr:
             tot += v
         return tot
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in sorted(self.terms.items()):
-            fs = "*".join(_atom_str(a) for a in k)
-            if fs:
-                parts.append(f"({c})*{fs}")
-            else:
-                parts.append(f"({c})")
-        return " + ".join(parts)
 
-    __repr__ = __str__
-
-
-def _as_funcexpr(v):
-    if isinstance(v, FuncExpr):
-        return v
-    if isinstance(v, (int, Fraction, Scalar)):
-        return FuncExpr.from_scalar(v)
-    return NotImplemented
-
-
-class FuncCoeffs:
+class FuncCoeffs(CoeffRing):
     """Coefficient ring of central functions with unknown profiles."""
 
     zero = FuncExpr()
@@ -238,38 +175,3 @@ class FuncCoeffs:
     @staticmethod
     def from_scalar(s):
         return FuncExpr.from_scalar(s)
-
-    @staticmethod
-    def mul(c1, c2):
-        return c1 * c2
-
-    @staticmethod
-    def mul_scalar(c, s):
-        return c.mul_scalar(s)
-
-    @staticmethod
-    def is_zero(c):
-        return not c.terms
-
-    @staticmethod
-    def d_tau(c):
-        return (
-            c.shift_args(1, 1).mul_scalar(RHAT + HBAR)
-            + c.shift_args(1, -1).mul_scalar(RHAT - HBAR)
-            - c.mul_scalar(RHAT * 2)
-        ).mul_scalar(_INV_2RH)
-
-    @staticmethod
-    def d_radial(c):
-        return (c.shift_args(1, 1) - c.shift_args(1, -1)).mul_scalar(_INV_2H)
-
-    @staticmethod
-    def theta_parts(c):
-        """(c + hbar d_tau c, (i hbar / rhat) d_radial c) with shared shifts."""
-        sp = c.shift_args(1, 1)
-        sm = c.shift_args(1, -1)
-        diag = (
-            sp.mul_scalar(RHAT + HBAR) + sm.mul_scalar(RHAT - HBAR)
-        ).mul_scalar(_INV_2R)
-        off = (sp - sm).mul_scalar(_I_2R)
-        return diag, off

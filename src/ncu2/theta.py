@@ -17,7 +17,7 @@ z d_z; the printed closed forms are kept alongside for comparison.
 
 from __future__ import annotations
 
-from .scalars import H, HBAR, I, ONE, RHAT, Scalar
+from .scalars import HBAR, I, ONE, RHAT, Scalar
 from .u2 import AElement, ScalarCoeffs
 
 _IH = I * HBAR
@@ -53,10 +53,8 @@ class ThetaMatrix:
 
     Every matrix in the image of theta (and every product of such) has
     the quaternionic shape c0*I + c1*E_x + c2*E_y + c3*E_z, so only the
-    four components are stored.  ``rows()`` expands the dense matrix and
-    ``matmul_dense`` multiplies entrywise without using the pattern; it
-    exists as an oracle for ``@``, which composes through the component
-    table.
+    four components are stored.  ``rows()`` expands the dense matrix;
+    ``@`` composes through the component table.
     """
 
     __slots__ = ("ring", "comps")
@@ -124,38 +122,6 @@ class ThetaMatrix:
                         rows[i][j] = base + (c if s > 0 else -c)
         return [[e if e is not None else z for e in row] for row in rows]
 
-    def matmul_dense(self, other) -> "ThetaMatrix":
-        """Entrywise 4x4 product; oracle for the component table in @."""
-        ra, rb = self.rows(), other.rows()
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                acc = None
-                for k in range(4):
-                    a, b = ra[i][k], rb[k][j]
-                    if not a.terms or not b.terms:
-                        continue
-                    p = a * b
-                    acc = p if acc is None else acc + p
-                row.append(acc if acc is not None else AElement(self.ring))
-            rows.append(row)
-        # read the components back off the first row and certify that the
-        # remaining 12 entries really follow the quaternionic pattern
-        out = ThetaMatrix(self.ring, (rows[0][0], rows[0][1], rows[0][2], rows[0][3]))
-        if out.rows() != rows:
-            raise ArithmeticError("dense product left the quaternionic pattern")
-        return out
-
-    def entry(self, i, j) -> AElement:
-        c0, cx, cy, cz = self.comps
-        e = c0 if i == j else AElement(self.ring)
-        for c, name in ((cx, "x"), (cy, "y"), (cz, "z")):
-            s = _E[name][i][j]
-            if s:
-                e = e + (c if s > 0 else -c)
-        return e
-
     def __str__(self):
         return "\n".join(
             "[" + ", ".join(str(e) for e in row) + "]" for row in self.rows()
@@ -164,13 +130,14 @@ class ThetaMatrix:
     __repr__ = __str__
 
 
-_GEN_CACHE = {}
+# theta of the generators and of bare monomials, keyed by (ring, key)
+_CACHE = {}
 
 
 def _gen_matrices(ring):
     """theta(x), theta(y), theta(z) over the given coefficient ring."""
     try:
-        return _GEN_CACHE[ring]
+        return _CACHE[ring, "gens"]
     except KeyError:
         pass
     ih = AElement(ring, {(0, 0, 0): ring.from_scalar(_IH)})
@@ -180,7 +147,7 @@ def _gen_matrices(ring):
         comps = [AElement.gen(name, ring), z, z, z]
         comps[k] = ih
         mats[name] = ThetaMatrix(ring, comps)
-    _GEN_CACHE[ring] = mats
+    _CACHE[ring, "gens"] = mats
     return mats
 
 
@@ -189,20 +156,16 @@ def _theta_central(c, ring) -> ThetaMatrix:
     diag, off = ring.theta_parts(c)
     z = AElement(ring)
     comps = [AElement(ring, {(0, 0, 0): diag}), z, z, z]
-    if not ring.is_zero(off):
+    if off:
         for k, name in enumerate(("x", "y", "z"), start=1):
             comps[k] = AElement.gen(name, ring).mul_coeff(off)
     return ThetaMatrix(ring, comps)
 
 
-_MONO_CACHE = {}
-
-
 def _theta_mono(mono, ring) -> ThetaMatrix:
     """theta of a bare monomial x^p y^q z^e, cached per ring."""
-    key = (id(ring), mono)
     try:
-        return _MONO_CACHE[key]
+        return _CACHE[ring, mono]
     except KeyError:
         pass
     gens = _gen_matrices(ring)
@@ -210,7 +173,7 @@ def _theta_mono(mono, ring) -> ThetaMatrix:
     for name, k in zip("xyz", mono):
         for _ in range(k):
             term = term @ gens[name]
-    _MONO_CACHE[key] = term
+    _CACHE[ring, mono] = term
     return term
 
 
@@ -310,21 +273,6 @@ def d_radial_closed(f: Scalar) -> Scalar:
 def d_tau_closed(f: Scalar) -> Scalar:
     """Difference formula for d_tau with radial multipliers (rhat +/- hbar)."""
     return ScalarCoeffs.d_tau(f)
-
-
-def printed_d_tau_closed(f: Scalar) -> Scalar:
-    """The formula as printed, with multipliers (tau +/- hbar).
-
-    Kept only for the identity ledger: it fails d_tau(tau) = 1 and
-    d_tau(rhat) = hbar/rhat, so it is not used by the engine.
-    """
-    from .scalars import TAU
-
-    return (
-        f.shift_args(1, 1) * (TAU + HBAR)
-        + f.shift_args(1, -1) * (TAU - HBAR)
-        - f * (RHAT * 2)
-    ) / (RHAT * HBAR * 2)
 
 
 def laplacian_closed(f: Scalar) -> Scalar:

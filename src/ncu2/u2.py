@@ -12,8 +12,13 @@ Two element types live here:
   absorbed into the central coefficients via t = i*tau.
 
 AElement coefficients are generic: plain central functions (Scalar) or
-polynomials in opaque shifted profile symbols (FuncExpr); the ring
-adapter supplies the handful of operations the calculus needs.
+polynomials in opaque shifted profile symbols (FuncExpr).  A coefficient
+ring is a class with ``zero``, ``one`` and ``from_scalar`` (the image of
+a Scalar in the ring); it inherits the closed difference formulas
+``d_tau``, ``d_radial`` and ``theta_parts`` from :class:`CoeffRing`.
+Ring elements add, negate, test for zero with ``bool``, multiply with
+``*`` (by each other and by a Scalar) and shift their arguments with
+``shift_args``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import H, HBAR, I, ONE, RHAT, Scalar, TAU, ZERO
+from .sparse import SparseSum, accumulate
 
 # letters: 0 = t, 1 = x, 2 = y, 3 = z
 _T, _X, _Y, _Z = 0, 1, 2, 3
@@ -52,13 +58,7 @@ def _no_word(w):
     out = {}
     for repl, s in _swap(w[idx], w[idx + 1]):
         for w2, s2 in _no_word(head + repl + tail):
-            c = s * s2
-            acc = out.get(w2)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[w2] = acc
-            elif w2 in out:
-                del out[w2]
+            accumulate(out, w2, s * s2)
     return tuple(out.items())
 
 
@@ -84,24 +84,15 @@ def _zreduce(a, b, c):
     if c <= 1:
         return (((a, b, c), ONE),)
     out = {}
-
-    def acc(m, s):
-        cur = out.get(m)
-        cur = s if cur is None else cur + s
-        if cur:
-            out[m] = cur
-        elif m in out:
-            del out[m]
-
     # rightmost z^2 -> (rhat^2 - hbar^2) - x^2 - y^2 (a central relation)
     for m, s in _zreduce(a, b, c - 2):
-        acc(m, s * _R2)
+        accumulate(out, m, s * _R2)
     stem = _word_of(0, a, b, c - 2)
     for letter in (_X, _Y):
         for w2, s in _no_word(stem + (letter, letter)):
             _, a2, b2, c2 = _counts(w2)
             for m, s2 in _zreduce(a2, b2, c2):
-                acc(m, -(s * s2))
+                accumulate(out, m, -(s * s2))
     return tuple(out.items())
 
 
@@ -113,13 +104,7 @@ def _amono_mul(m1, m2):
     for w2, s in _no_word(w):
         _, a, b, c = _counts(w2)
         for m, s2 in _zreduce(a, b, c):
-            c_ = s * s2
-            acc = out.get(m)
-            acc = c_ if acc is None else acc + c_
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
+            accumulate(out, m, s * s2)
     return tuple(out.items())
 
 
@@ -132,10 +117,14 @@ def _cmono_mul(m1, m2):
 # ---------------------------------------------------------------------------
 
 
-class CompactElement:
+def _mono_str(names, m) -> str:
+    return "*".join((n if e == 1 else f"{n}^{e}") for n, e in zip(names, m) if e)
+
+
+class CompactElement(SparseSum):
     """Normal-ordered polynomial in t, x, y, z over the scalar field."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
@@ -152,70 +141,35 @@ class CompactElement:
         m[idx] = 1
         return cls({tuple(m): ONE})
 
-    def __add__(self, other):
+    def _like(self):
+        return CompactElement()
+
+    def _coerce(self, other):
+        if isinstance(other, CompactElement):
+            return other
         if isinstance(other, (int, Fraction, Scalar)):
-            other = CompactElement.scalar(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
-        e = CompactElement()
-        e.terms = out
-        return e
+            return CompactElement.scalar(other)
+        return None
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        e = CompactElement()
-        e.terms = {m: -c for m, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = CompactElement.scalar(other)
-        return self + (-other)
+    def _key_str(self, m):
+        return _mono_str("txyz", m)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c = other if isinstance(other, Scalar) else Scalar(other)
-            e = CompactElement()
-            e.terms = {m: v * c for m, v in self.terms.items()} if c else {}
-            return e
+            return self._new({m: v * c for m, v in self.terms.items()} if c else {})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
                 for w, s in _cmono_mul(m1, m2):
-                    m = _counts(w)
-                    v = c * s
-                    acc = out.get(m)
-                    acc = v if acc is None else acc + v
-                    if acc:
-                        out[m] = acc
-                    elif m in out:
-                        del out[m]
-        e = CompactElement()
-        e.terms = out
-        return e
+                    accumulate(out, _counts(w), c * s)
+        return self._new(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             return self * other
         return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = CompactElement.scalar(other)
-        if not isinstance(other, CompactElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -227,25 +181,45 @@ class CompactElement:
                 return False
         return True
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = ("t", "x", "y", "z")
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            vs = "*".join(
-                (n if e == 1 else f"{n}^{e}") for n, e in zip(names, m) if e
-            )
-            parts.append(f"({c})*{vs}" if vs else f"({c})")
-        return " + ".join(parts)
 
-    __repr__ = __str__
+# -- coefficient rings -------------------------------------------------------
+
+_INV_2H = ONE / (HBAR * 2)
+_INV_2RH = ONE / (RHAT * HBAR * 2)
+_INV_2R = ONE / (RHAT * 2)
+_I_2R = I / (RHAT * 2)
 
 
-# -- coefficient ring adapters ---------------------------------------------
+class CoeffRing:
+    """Closed difference formulas for the QPD on the centre, over any ring.
+
+    The d_tau multipliers are (rhat +/- hbar), which is forced by
+    d_tau(tau) = 1 and d_tau(rhat) = hbar/rhat.
+    """
+
+    @staticmethod
+    def d_tau(c):
+        return (
+            c.shift_args(1, 1) * (RHAT + HBAR)
+            + c.shift_args(1, -1) * (RHAT - HBAR)
+            - c * (RHAT * 2)
+        ) * _INV_2RH
+
+    @staticmethod
+    def d_radial(c):
+        return (c.shift_args(1, 1) - c.shift_args(1, -1)) * _INV_2H
+
+    @staticmethod
+    def theta_parts(c):
+        """(c + hbar d_tau c, (i hbar / rhat) d_radial c) with shared shifts."""
+        sp = c.shift_args(1, 1)
+        sm = c.shift_args(1, -1)
+        diag = (sp * (RHAT + HBAR) + sm * (RHAT - HBAR)) * _INV_2R
+        off = (sp - sm) * _I_2R
+        return diag, off
 
 
-class ScalarCoeffs:
+class ScalarCoeffs(CoeffRing):
     """Coefficient ring of plain central functions f(tau, rhat)."""
 
     zero = ZERO
@@ -255,57 +229,15 @@ class ScalarCoeffs:
     def from_scalar(s: Scalar) -> Scalar:
         return s
 
-    @staticmethod
-    def mul(c1, c2):
-        return c1 * c2
 
-    @staticmethod
-    def mul_scalar(c, s: Scalar):
-        return c * s
-
-    @staticmethod
-    def is_zero(c):
-        return not c
-
-    # closed difference formulas for the QPD on the centre; the d_tau
-    # multipliers are (rhat +/- hbar), which is forced by d_tau(tau) = 1
-    # and d_tau(rhat) = hbar/rhat.
-    @staticmethod
-    def d_tau(c: Scalar) -> Scalar:
-        return (
-            c.shift_args(1, 1) * (RHAT + HBAR)
-            + c.shift_args(1, -1) * (RHAT - HBAR)
-            - c * (RHAT * 2)
-        ) * _INV_2RH
-
-    @staticmethod
-    def d_radial(c: Scalar) -> Scalar:
-        return (c.shift_args(1, 1) - c.shift_args(1, -1)) * _INV_2H
-
-    @staticmethod
-    def theta_parts(c: Scalar):
-        """(c + hbar d_tau c, (i hbar / rhat) d_radial c) with shared shifts."""
-        sp = c.shift_args(1, 1)
-        sm = c.shift_args(1, -1)
-        diag = (sp * (RHAT + HBAR) + sm * (RHAT - HBAR)) * _INV_2R
-        off = (sp - sm) * _I_2R
-        return diag, off
-
-
-_INV_2H = ONE / (HBAR * 2)
-_INV_2RH = ONE / (RHAT * HBAR * 2)
-_INV_2R = ONE / (RHAT * 2)
-_I_2R = I / (RHAT * 2)
-
-
-class AElement:
+class AElement(SparseSum):
     """Canonical element of A_h on the basis x^a y^b z^e, e <= 1."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
 
     def __init__(self, ring, terms=None):
         self.ring = ring
-        self.terms = {m: c for m, c in (terms or {}).items() if not ring.is_zero(c)}
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
     def from_scalar(cls, s, ring=ScalarCoeffs):
@@ -321,6 +253,9 @@ class AElement:
         m = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[name]
         return cls(ring, {m: ring.one})
 
+    def _like(self):
+        return AElement(self.ring)
+
     def _coerce(self, other):
         if isinstance(other, AElement):
             if other.ring is not self.ring:
@@ -330,35 +265,11 @@ class AElement:
             return AElement.from_scalar(Scalar(other) if not isinstance(other, Scalar) else other, self.ring)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        ring = self.ring
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            acc = c if acc is None else acc + c
-            if not ring.is_zero(acc):
-                out[m] = acc
-            elif m in out:
-                del out[m]
-        e = AElement(ring)
-        e.terms = out
-        return e
+    def _key_str(self, m):
+        return _mono_str("xyz", m)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        e = AElement(self.ring)
-        e.terms = {m: -c for m, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    # perfbench/spans.py times these by reading the class's own __dict__
+    __add__ = __radd__ = SparseSum.__add__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -366,22 +277,13 @@ class AElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c = ring.mul(c1, c2)
+                c = c1 * c2
                 for m, s in _amono_mul(m1, m2):
-                    v = c if s is ONE or s == ONE else ring.mul_scalar(c, s)
-                    acc = out.get(m)
-                    acc = v if acc is None else acc + v
-                    if not ring.is_zero(acc):
-                        out[m] = acc
-                    elif m in out:
-                        del out[m]
-        e = AElement(ring)
-        e.terms = out
-        return e
+                    accumulate(out, m, c if s is ONE or s == ONE else c * s)
+        return self._new(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -390,29 +292,14 @@ class AElement:
 
     def mul_coeff(self, c):
         """Multiply by a (central) coefficient of the ring."""
-        ring = self.ring
-        e = AElement(ring)
-        if ring.is_zero(c):
-            return e
-        e.terms = {m: ring.mul(v, c) for m, v in self.terms.items()}
-        return e
+        if not c:
+            return self._like()
+        return self._new({m: v * c for m, v in self.terms.items()})
 
     def mul_scalar(self, s: Scalar):
-        ring = self.ring
-        e = AElement(ring)
         if not s:
-            return e
-        e.terms = {m: ring.mul_scalar(c, s) for m, c in self.terms.items()}
-        return e
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+            return self._like()
+        return self._new({m: c * s for m, c in self.terms.items()})
 
     def is_central(self) -> bool:
         return all(m == (0, 0, 0) for m in self.terms)
@@ -422,20 +309,6 @@ class AElement:
 
     def coefficient(self, m):
         return self.terms.get(m, self.ring.zero)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = ("x", "y", "z")
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            vs = "*".join(
-                (n if e == 1 else f"{n}^{e}") for n, e in zip(names, m) if e
-            )
-            parts.append(f"({c})*{vs}" if vs else f"({c})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +326,10 @@ def reduce_casimir(e, ring=ScalarCoeffs) -> AElement:
     if isinstance(e, AElement):
         return e
     out = AElement(ring)
-    terms = {}
     for (d, a, b, c), coeff in e.terms.items():
         base = coeff * _IT**d if d else coeff
         for m, s in _zreduce(a, b, c):
-            v = ring.from_scalar(base * s)
-            acc = terms.get(m)
-            acc = v if acc is None else acc + v
-            if not ring.is_zero(acc):
-                terms[m] = acc
-            elif m in terms:
-                del terms[m]
-    out.terms = terms
+            accumulate(out.terms, m, ring.from_scalar(base * s))
     return out
 
 

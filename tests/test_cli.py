@@ -107,6 +107,32 @@ def test_solve_hedgehog_bad_domain(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_solve_hedgehog_steps_below_one_is_usage_error(steps, capsys):
+    rc = main(
+        ["solve-hedgehog", "--hbar", "1/16", "--r0", "1", "--steps", steps, "--init", "classical"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ncu2: --steps must be at least 1, got {steps}\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_solve_hedgehog_non_finite_init_is_usage_error(bad, tmp_path, capsys):
+    seed = tmp_path / "init.txt"
+    seed.write_text(f"{bad} 0 0 0\n")
+    rc = main(
+        ["solve-hedgehog", "--hbar", "1/16", "--r0", "1", "--steps", "4", "--init", str(seed)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("ncu2: init file values must be finite")
+    assert err.count("\n") == 1
+
+
 def test_rep_check(capsys):
     assert main(["rep-check", "--two-j", "2", "--hbar", "1/2"]) == 0
     out = capsys.readouterr().out

@@ -53,12 +53,35 @@ def test_theta_is_multiplicative():
         assert theta_multiplicative(a, b)
 
 
+def _matmul_dense(ta, tb):
+    """Entrywise 4x4 product; oracle for the component table in @."""
+    ra, rb = ta.rows(), tb.rows()
+    rows = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            acc = None
+            for k in range(4):
+                a, b = ra[i][k], rb[k][j]
+                if not a.terms or not b.terms:
+                    continue
+                p = a * b
+                acc = p if acc is None else acc + p
+            row.append(acc if acc is not None else AElement(ta.ring))
+        rows.append(row)
+    # read the components back off the first row and certify that the
+    # remaining 12 entries really follow the quaternionic pattern
+    out = ThetaMatrix(ta.ring, (rows[0][0], rows[0][1], rows[0][2], rows[0][3]))
+    assert out.rows() == rows, "dense product left the quaternionic pattern"
+    return out
+
+
 def test_component_product_matches_dense_product():
     rng = random.Random(5)
     for _ in range(4):
         ta = theta(random_monomial_element(rng, max_deg=2))
         tb = theta(random_monomial_element(rng, max_deg=2))
-        assert ta @ tb == ta.matmul_dense(tb)
+        assert ta @ tb == _matmul_dense(ta, tb)
 
 
 def test_theta_of_radius():
