@@ -38,6 +38,10 @@ class UsageError(Exception):
     """Bad input that the argument parser cannot see; exits 2."""
 
 
+# rep-check allocates several dense (2j+1) x (2j+1) complex matrices
+MAX_TWO_J = 100
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -138,9 +142,13 @@ def _read_init(source: str):
     if source == "classical":
         return None
     with open(source) as fh:
-        vals = [float(v) for v in fh.read().replace(",", " ").split()]
+        text = fh.read()
+    try:
+        vals = [float(v) for v in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise UsageError(f"init file must hold four numbers: {exc}")
     if len(vals) != 4:
-        raise ValueError(f"init file must hold four numbers, found {len(vals)}")
+        raise UsageError(f"init file must hold four numbers, found {len(vals)}")
     if not all(math.isfinite(v) for v in vals):
         raise UsageError(f"init file values must be finite, got {vals}")
     return tuple(vals)
@@ -168,6 +176,10 @@ def _cmd_solve_hedgehog(args) -> int:
 
 
 def _cmd_rep_check(args) -> int:
+    if not 0 <= args.two_j <= MAX_TWO_J:
+        raise UsageError(f"--two-j must be in 0..{MAX_TWO_J}, got {args.two_j}")
+    if args.hbar <= 0:
+        raise UsageError(f"--hbar must be positive, got {args.hbar}")
     hbar = float(args.hbar)
     radius = radius_residual(args.two_j, hbar)
     ch = ch_residual(args.two_j, hbar)

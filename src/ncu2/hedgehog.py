@@ -13,7 +13,9 @@ E2 = 0 on the profiles W and F.  ``hedgehog_reduce`` performs that
 collapse symbolically and certifies the factorization; ``march`` solves
 the resulting recurrence numerically on the radial lattice of spacing
 hbar, with an RK4 integration of the classical system as the limit
-oracle.
+oracle.  The march compiles its per-node coefficients from
+``profile_equations()``, so E1 and E2 are written down once, and the
+numbers solve exactly the equations the reduction certifies.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ class ReductionError(HedgehogError):
 
 
 class SingularStepError(HedgehogError):
-    """The 2x2 marching system is numerically singular at some node."""
+    """The march cannot take the step at some node.
+
+    Either the 2x2 system there is numerically singular, or its solution
+    is not finite: past the point where the forward march leaves the
+    classical profile its values grow until binary64 overflows.  The
+    message names the node as "at node N".
+    """
 
 
 class DomainError(HedgehogError):
@@ -287,29 +295,41 @@ def hedgehog_reduce(extra_pair=(2, 3)) -> HedgehogReduction:
 
 @dataclass
 class LatticeSolution:
-    """Numeric profiles on the radial lattice r_k = r0 + k*hbar."""
+    """Numeric profiles on the uniform radial lattice r_k = r0 + k*dr."""
 
     hbar: float
-    r: np.ndarray
+    r0: float
+    dr: float
     W: np.ndarray
     F: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    @property
+    def r(self) -> np.ndarray:
+        """The lattice radii, computed on each access.
+
+        Not stored: a copy would add half again to the memory of every
+        solution, and callers that keep many solutions pay for it.
+        """
+        return self.r0 + self.dr * np.arange(len(self.W))
+
     def write_csv(self, fh) -> None:
         fh.write("k,r,W,F\n")
-        for k in range(len(self.r)):
+        r = self.r
+        for k in range(len(r)):
             fh.write(
-                f"{k},{self.r[k]:.17g},{self.W[k]:.17g},{self.F[k]:.17g}\n"
+                f"{k},{r[k]:.17g},{self.W[k]:.17g},{self.F[k]:.17g}\n"
             )
 
     def to_json_obj(self) -> dict:
+        r = self.r
         return {
             "hbar": self.hbar,
-            "r0": float(self.r[0]),
+            "r0": float(r[0]),
             "meta": self.meta,
             "rows": [
-                {"k": k, "r": float(self.r[k]), "W": float(self.W[k]), "F": float(self.F[k])}
-                for k in range(len(self.r))
+                {"k": k, "r": float(r[k]), "W": float(self.W[k]), "F": float(self.F[k])}
+                for k in range(len(r))
             ],
         }
 
@@ -318,27 +338,82 @@ class LatticeSolution:
         fh.write("\n")
 
 
-def _node_residuals(wp, fp, wm, fm, w, f, r, h):
-    """E1 and E2 at one node; (wp, fp) are the unknown forward values.
+# The six term shapes of E1/E2 as sorted (profile, node offset) tuples.
+# The profiles are tau-independent, so the atom (name, p, q) is the value
+# at node k + q.  The first two shapes multiply the unknowns W_{k+1} and
+# F_{k+1}; the rest are known once nodes k - 1 and k are.
+_SHAPES = (
+    (("W", 1),),
+    (("F", 1),),
+    (("W", -1),),
+    (("F", -1),),
+    (("W", 0), ("W", 0)),
+    (("F", 0), ("W", 0)),
+)
 
-    The difference stencils are d_r Phi = (Phi+ - Phi-)/(2h) and
-    d_tau Phi = ((r+h) Phi+ + (r-h) Phi- - 2r Phi)/(2rh); the quadratic
-    terms sit at the unshifted node.
+
+def _stencil(r, h):
+    """Coefficients of E1 and E2 at the nodes r: per equation, one array
+    for each shape in ``_SHAPES``.
+
+    Compiled from ``profile_equations()``, so the march solves exactly
+    the equations ``hedgehog_reduce`` certifies.  Raises HedgehogError
+    on a term outside ``_SHAPES`` or a coefficient that is not real.
     """
-    dr_w = (wp - wm) / (2 * h)
-    dr_f = (fp - fm) / (2 * h)
-    dt_w = ((r + h) * wp + (r - h) * wm - 2 * r * w) / (2 * r * h)
-    dt_f = ((r + h) * fp + (r - h) * fm - 2 * r * f) / (2 * r * h)
-    e1 = -dr_w / r + w * w - dr_f / r + f * w
-    e2 = (
-        (r * r - h * h) / r * dr_w
-        + 2 * w
-        + 2 * h * dt_w
-        - f
-        - h * dt_f
-        - (r * r - h * h) * f * w
+    out = []
+    for e in profile_equations():
+        coeffs = {s: np.zeros_like(r) for s in _SHAPES}
+        for key, c in e.terms.items():
+            shape = tuple(sorted((name, q) for name, _, q in key))
+            if shape not in coeffs:
+                raise HedgehogError(f"the march has no stencil slot for the term {key}")
+            v = c.evaluate(rhat=r, hbar=h)
+            if np.any(v.imag):
+                raise HedgehogError(f"coefficient {c} of the term {key} is not real")
+            coeffs[shape] += v.real
+        out.append([coeffs[s] for s in _SHAPES])
+    return out
+
+
+def _march(init, h, r0, n):
+    """The march itself: a LatticeSolution, or the SingularStepError to raise.
+
+    Raised here, the error would keep this frame, and with it every
+    coefficient array, alive in its traceback.
+    """
+    W = np.empty(n + 1)
+    F = np.empty(n + 1)
+    W[0], F[0], W[1], F[1] = init
+    (a11, a12, *known1), (a21, a22, *known2) = _stencil(r0 + h * np.arange(1, n), h)
+    det = a11 * a22 - a12 * a21
+    small = np.flatnonzero(np.abs(det) < 1e-12)
+    if small.size:
+        k = int(small[0])
+        return SingularStepError(
+            f"marching system singular at node {k + 1} (|det| = {abs(det[k]):.3e})"
+        )
+    # per node: the coefficients of W_{k-1}, F_{k-1}, W_k^2 and F_k W_k in
+    # E1 (p1 .. t1) and E2 (p2 .. t2); a step that overflows is caught by
+    # the finiteness check, so numpy's overflow warnings are only noise
+    p1, q1, s1, t1 = known1
+    p2, q2, s2, t2 = known2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            i = k - 1
+            wm, fm, w, f = W[i], F[i], W[k], F[k]
+            b1 = p1[i] * wm + q1[i] * fm + s1[i] * w * w + t1[i] * f * w
+            b2 = p2[i] * wm + q2[i] * fm + s2[i] * w * w + t2[i] * f * w
+            wp = (-b1 * a22[i] + b2 * a12[i]) / det[i]
+            fp = (-a11[i] * b2 + a21[i] * b1) / det[i]
+            if not (math.isfinite(wp) and math.isfinite(fp)):
+                return SingularStepError(
+                    f"marching step at node {k} is not finite (W = {wp}, F = {fp})"
+                )
+            W[k + 1] = wp
+            F[k + 1] = fp
+    return LatticeSolution(
+        hbar=h, r0=r0, dr=h, W=W, F=F, meta={"init": init, "status": "completed"}
     )
-    return e1, e2
 
 
 def march(init, hbar: float, r0: float, steps: int) -> LatticeSolution:
@@ -346,39 +421,24 @@ def march(init, hbar: float, r0: float, steps: int) -> LatticeSolution:
 
     ``init`` supplies (W0, F0, W1, F1) at the first two nodes.  At each
     interior node the two equations are affine in (W_{k+1}, F_{k+1});
-    the 2x2 system is solved exactly in binary64.
+    the 2x2 system is solved exactly in binary64.  Raises
+    SingularStepError at the first node where that system is singular or
+    its solution is not finite, so no row returned is NaN or infinite.
     """
-    if hbar <= 0:
+    if not hbar > 0:
         raise DomainError(f"hbar must be positive, got {hbar}")
-    if r0 <= hbar:
+    if not r0 > hbar:
         raise DomainError(f"need r0 > hbar, got r0 = {r0}, hbar = {hbar}")
-    w0, f0, w1, f1 = (float(v) for v in init)
     n = int(steps)
-    r = r0 + hbar * np.arange(n + 1)
-    W = np.empty(n + 1)
-    F = np.empty(n + 1)
-    W[0], F[0], W[1], F[1] = w0, f0, w1, f1
-    for k in range(1, n):
-        rk = r[k]
-        if rk <= hbar or rk * rk == hbar * hbar:
-            raise DomainError(f"lattice point r_{k} = {rk} out of domain")
-        wm, fm = W[k - 1], F[k - 1]
-        w, f = W[k], F[k]
-        e1_0, e2_0 = _node_residuals(0.0, 0.0, wm, fm, w, f, rk, hbar)
-        e1_w, e2_w = _node_residuals(1.0, 0.0, wm, fm, w, f, rk, hbar)
-        e1_f, e2_f = _node_residuals(0.0, 1.0, wm, fm, w, f, rk, hbar)
-        a11, a12 = e1_w - e1_0, e1_f - e1_0
-        a21, a22 = e2_w - e2_0, e2_f - e2_0
-        det = a11 * a22 - a12 * a21
-        if abs(det) < 1e-12:
-            raise SingularStepError(
-                f"marching system singular at node {k} (|det| = {abs(det):.3e})"
-            )
-        W[k + 1] = (-e1_0 * a22 + e2_0 * a12) / det
-        F[k + 1] = (-a11 * e2_0 + a21 * e1_0) / det
-    return LatticeSolution(
-        hbar=hbar, r=r, W=W, F=F, meta={"init": [w0, f0, w1, f1], "status": "completed"}
-    )
+    if n < 1:
+        raise HedgehogError(f"need at least one step, got {steps}")
+    init = [float(v) for v in init]
+    if not all(map(math.isfinite, init)):
+        raise HedgehogError(f"init values must be finite, got {init}")
+    sol = _march(init, hbar, r0, n)
+    if isinstance(sol, SingularStepError):
+        raise sol
+    return sol
 
 
 # -- classical oracle ---------------------------------------------------------
@@ -415,7 +475,7 @@ def classical_ode(init, r0: float, r1: float, steps: int) -> LatticeSolution:
         w += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         f += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         W[k + 1], F[k + 1] = w, f
-    return LatticeSolution(hbar=0.0, r=r, W=W, F=F, meta={"method": "rk4"})
+    return LatticeSolution(hbar=0.0, r0=r0, dr=h, W=W, F=F, meta={"method": "rk4"})
 
 
 def bps_profile(r: float):

@@ -62,14 +62,6 @@ def random_monomial_element(rng: random.Random, ring=ScalarCoeffs, max_deg=4) ->
     return t
 
 
-def random_aelement(rng: random.Random, ring=ScalarCoeffs, max_deg=4) -> AElement:
-    """Random element of A_h: sum of monomials times central functions."""
-    out = AElement(ring)
-    for _ in range(rng.randint(1, 2)):
-        out = out + random_monomial_element(rng, ring, max_deg)
-    return out
-
-
 # -- suites -------------------------------------------------------------------
 
 

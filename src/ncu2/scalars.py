@@ -25,7 +25,6 @@ from sympy.polys.rings import ring as _make_ring
 _RING, _TAU, _RHAT, _HBAR = _make_ring("tau,rhat,hbar", QQ_I)
 _ONE_P = _RING.one
 _ZERO_P = _RING.zero
-_I = QQ_I(0, 1)
 
 
 class ScalarError(ArithmeticError):
@@ -38,77 +37,6 @@ class DivisionByZero(ScalarError):
 
 class PoleAtZero(ScalarError):
     """Raised by classical_limit on a scalar with a pole at hbar = 0."""
-
-
-class GaussianRational:
-    """Exact complex rational ``re + i*im`` with Fraction components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _as_gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_as_gauss(other))
-
-    def __rsub__(self, other):
-        return _as_gauss(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_gauss(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise DivisionByZero("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / n, -other.im / n)
-
-    def __rtruediv__(self, other):
-        return _as_gauss(other) / self
-
-    def __eq__(self, other):
-        try:
-            other = _as_gauss(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def to_scalar(self) -> "Scalar":
-        return Scalar._make(_RING.ground_new(QQ_I.new(self.re, self.im)), ())
-
-
-def _as_gauss(v) -> GaussianRational:
-    if isinstance(v, GaussianRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussianRational(v)
-    raise TypeError(f"cannot coerce {v!r} to GaussianRational")
 
 
 def _fkey(p):
@@ -315,16 +243,11 @@ class Scalar:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, value=0):
-        if isinstance(value, Scalar):
-            self.num, self.den = value.num, value.den
-        elif isinstance(value, GaussianRational):
-            s = value.to_scalar()
-            self.num, self.den = s.num, s.den
-        elif isinstance(value, (int, Fraction)):
-            g = GaussianRational(value).to_scalar()
-            self.num, self.den = g.num, g.den
-        else:
+        if isinstance(value, (int, Fraction)):
+            value = gauss(value)
+        elif not isinstance(value, Scalar):
             raise TypeError(f"cannot build Scalar from {value!r}")
+        self.num, self.den = value.num, value.den
         self._hash = None
 
     @classmethod
@@ -499,8 +422,14 @@ class Scalar:
         c, factors = _factor_poly(den0)
         return Scalar._normalized(num0.quo_ground(c), dict(factors))
 
-    def evaluate(self, tau=0.0, rhat=0.0, hbar=0.0) -> complex:
-        """Numeric (binary64 complex) evaluation."""
+    def evaluate(self, tau=0.0, rhat=0.0, hbar=0.0):
+        """Numeric (binary64 complex) evaluation.
+
+        The arguments may be numpy arrays: the result is then an array
+        of the broadcast shape, and a denominator that vanishes at any
+        one point raises.
+        """
+        import numpy as np  # exact arithmetic never needs numpy
 
         def ev(p):
             tot = 0j
@@ -516,7 +445,7 @@ class Scalar:
         dv = 1.0 + 0j
         for f, e in self.den:
             dv *= ev(f) ** e
-        if dv == 0:
+        if np.any(dv == 0):
             raise DivisionByZero(f"denominator of {self} vanishes numerically")
         return ev(self.num) / dv
 
@@ -551,7 +480,7 @@ class Scalar:
 def _as_scalar(v):
     if isinstance(v, Scalar):
         return v
-    if isinstance(v, (int, Fraction, GaussianRational)):
+    if isinstance(v, (int, Fraction)):
         return Scalar(v)
     return NotImplemented
 
@@ -603,9 +532,14 @@ def _poly_str(p) -> str:
     return out
 
 
+def gauss(re, im=0) -> Scalar:
+    """The constant re + i*im, with rational parts."""
+    return Scalar._make(_RING.ground_new(QQ_I.new(Fraction(re), Fraction(im))), ())
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = GaussianRational(0, 1).to_scalar()
+I = gauss(0, 1)
 TAU = Scalar._make(_TAU, ())
 RHAT = Scalar._make(_RHAT, ())
 HBAR = Scalar._make(_HBAR, ())
@@ -614,7 +548,3 @@ H = I * HBAR * 2  # the algebra-level deformation parameter, h = 2i*hbar
 
 def rational(num, den=1) -> Scalar:
     return Scalar(Fraction(num, den))
-
-
-def gauss(re, im=0) -> Scalar:
-    return GaussianRational(re, im).to_scalar()

@@ -144,3 +144,39 @@ def test_rep_check_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True
     assert obj["radius_residual"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a b c d\n", "ncu2: init file must hold four numbers: could not convert"),
+        ("0 0 0\n", "ncu2: init file must hold four numbers, found 3"),
+    ],
+)
+def test_solve_hedgehog_malformed_init_is_usage_error(text, message, tmp_path, capsys):
+    seed = tmp_path / "init.txt"
+    seed.write_text(text)
+    rc = main(
+        ["solve-hedgehog", "--hbar", "1/16", "--r0", "1", "--steps", "4", "--init", str(seed)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--two-j", "-1", "--hbar", "1/4"], "ncu2: --two-j must be in 0..100, got -1\n"),
+        # the cap is checked before any matrix is built
+        (["--two-j", "101", "--hbar", "1/4"], "ncu2: --two-j must be in 0..100, got 101\n"),
+        (["--two-j", "2", "--hbar", "0"], "ncu2: --hbar must be positive, got 0\n"),
+    ],
+)
+def test_rep_check_bad_arguments_are_usage_errors(flags, message, capsys):
+    assert main(["rep-check"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message

@@ -2,13 +2,18 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ncu2 import hedgehog
+from ncu2.cli import main
 from ncu2.hedgehog import (
     DomainError,
     GaugeField,
+    HedgehogError,
+    SingularStepError,
     bogomolny_residual,
     bps_profile,
     classical_ode,
@@ -103,6 +108,61 @@ def test_march_domain_errors():
         march((0, 0, 0, 0), -0.1, 1.0, 10)
     with pytest.raises(DomainError):
         march((0, 0, 0, 0), 0.5, 0.25, 10)
+    with pytest.raises(DomainError):
+        march((0, 0, 0, 0), math.nan, 1.0, 10)
+    with pytest.raises(HedgehogError, match="finite"):
+        march((0, math.inf, 0, 0), 0.5, 1.0, 10)
+
+
+def test_march_solves_the_certified_equations():
+    # the marched values make the exact E1, E2 vanish at every interior
+    # node; the profiles are tau-independent, so atom (name, p, q) reads
+    # node k + q
+    h, steps = 2.0**-5, 200
+    sol = march(classical_seed(1.0, h), h, 1.0, steps)
+    e1, e2 = profile_equations()
+    prof, r = {"W": sol.W, "F": sol.F}, sol.r
+    for k in range(1, steps):
+        vals = {(name, p, q): prof[name][k + q] for name, p, q in e1.atoms() | e2.atoms()}
+        for e in (e1, e2):
+            assert abs(e.evaluate(vals, rhat=r[k], hbar=h)) < 1e-10, k
+
+
+def test_march_single_step_returns_the_seed():
+    seed = classical_seed(1.0, 0.25)
+    sol = march(seed, 0.25, 1.0, 1)
+    assert list(sol.r) == [1.0, 1.25]
+    assert (sol.W[0], sol.F[0], sol.W[1], sol.F[1]) == seed
+
+
+def test_march_past_departure_raises_at_a_node(capsys):
+    # the forward march leaves the classical profile near r = 18 and then
+    # grows until binary64 overflows; it must stop there, not return rows
+    h, steps = 1 / 16, 1000
+    with pytest.raises(SingularStepError) as exc:
+        march(classical_seed(1.0, h), h, 1.0, steps)
+    node = int(re.search(r"at node (\d+)", str(exc.value)).group(1))
+    assert 1 <= node < steps and 1.0 + node * h > 18
+    argv = ["solve-hedgehog", "--hbar", "1/16", "--r0", "1", "--steps", "1000", "--init", "classical"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ncu2: {exc.value}\n"
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (FuncExpr.symbol("W", 0, 2), "no stencil slot"),
+        (FuncExpr.symbol("W", 1, 1) * FuncExpr.symbol("F"), "no stencil slot"),
+        (FuncExpr.symbol("W", 1, 1).mul_scalar(I), "not real"),
+    ],
+)
+def test_march_rejects_equations_outside_its_stencil(monkeypatch, term, message):
+    e1, e2 = profile_equations()
+    monkeypatch.setattr(hedgehog, "profile_equations", lambda: (e1 + term, e2))
+    with pytest.raises(HedgehogError, match=message):
+        march((0, 0, 0, 0), 0.1, 1.0, 10)
 
 
 def test_classical_rhs_matches_bps_derivative():

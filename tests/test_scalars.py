@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ_I
 
 from ncu2.scalars import (
     DivisionByZero,
@@ -15,6 +16,7 @@ from ncu2.scalars import (
     Scalar,
     TAU,
     ZERO,
+    _fkey,
     gauss,
     rational,
 )
@@ -101,6 +103,20 @@ def test_evaluate_matches_sympy():
     assert abs(s.evaluate(tau=2.0, rhat=3.0, hbar=0.5) - ref) < 1e-12
 
 
+def test_evaluate_on_arrays():
+    import numpy as np
+
+    s = (TAU - I * HBAR * RHAT) / (RHAT**2 - HBAR**2)
+    r = np.array([1.5, 2.0, 3.25])
+    v = s.evaluate(tau=0.5, rhat=r, hbar=0.25)
+    assert v.shape == r.shape
+    for rk, vk in zip(r, v):
+        assert abs(vk - s.evaluate(tau=0.5, rhat=float(rk), hbar=0.25)) < 1e-15
+    # the pole at rhat = hbar is caught even when only one point hits it
+    with pytest.raises(DivisionByZero):
+        s.evaluate(rhat=np.array([1.5, 0.25, 2.0]), hbar=0.25)
+
+
 def test_classical_limit():
     s = TAU * RHAT + HBAR * RHAT - HBAR**2
     assert s.classical_limit() == TAU * RHAT
@@ -126,3 +142,35 @@ def test_hash_consistent_with_eq():
 def test_str_is_canonical():
     assert str(ZERO) == "0"
     assert str(RHAT + HBAR) == str(HBAR + RHAT)
+
+
+def _assert_canonical(s):
+    """The reduced form that structural equality relies on."""
+    if not s:
+        assert s.den == ()
+        return
+    factors = [f for f, _ in s.den]
+    assert all(e >= 1 for _, e in s.den)
+    assert all(not f.is_ground and f.LC == QQ_I.one for f in factors)
+    assert len(set(factors)) == len(factors)
+    assert [_fkey(f) for f in factors] == sorted(_fkey(f) for f in factors)
+    for f in factors:
+        assert s.num.div(f)[1], f"{f} divides the numerator of {s}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars(), st.integers(-2, 2), st.integers(-2, 2))
+def test_results_are_canonical(a, b, p, q):
+    derived = [a, a + b, a - b, a * b, a.shift_args(p, q), (a * b).shift_args(p, q)]
+    if b:
+        derived += [a / b, b.inv()]
+    for s in list(derived):
+        try:
+            derived.append(s.classical_limit())
+        except PoleAtZero:
+            pass
+    for s in derived:
+        _assert_canonical(s)
+    for s in (a + b - b, a * b / b if b else a):
+        assert (s.num, s.den) == (a.num, a.den)
+    assert (a - a).den == ()
