@@ -40,6 +40,8 @@ class UsageError(Exception):
 
 # rep-check allocates several dense (2j+1) x (2j+1) complex matrices
 MAX_TWO_J = 100
+# solve-hedgehog allocates and prints one row per lattice node
+MAX_STEPS = 10**6
 
 
 def _fraction(text: str) -> Fraction:
@@ -157,6 +159,8 @@ def _read_init(source: str):
 def _cmd_solve_hedgehog(args) -> int:
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise UsageError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     hbar = float(args.hbar)
     r0 = float(args.r0)
     init = _read_init(args.init)

@@ -10,12 +10,14 @@ symmetric ansatz
 
 the Bogomol'nyi system collapses to two difference equations E1 = 0,
 E2 = 0 on the profiles W and F.  ``hedgehog_reduce`` performs that
-collapse symbolically and certifies the factorization; ``march`` solves
-the resulting recurrence numerically on the radial lattice of spacing
-hbar, with an RK4 integration of the classical system as the limit
-oracle.  The march compiles its per-node coefficients from
-``profile_equations()``, so E1 and E2 are written down once, and the
-numbers solve exactly the equations the reduction certifies.
+collapse symbolically: it writes each of the nine components (mu, nu, i),
+mu < nu, as u*E1 + v*E2 with scalar-coefficient multipliers u, v,
+solved exactly with ``scalars.solve2``.  ``march`` solves the resulting
+recurrence numerically on the radial lattice of spacing hbar, with an
+RK4 integration of the classical system as the limit oracle.  The march
+compiles its per-node coefficients from ``profile_equations()``, so E1
+and E2 are written down once, and the numbers solve exactly the
+equations the reduction certifies.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scalars import HBAR, ONE, RHAT, Scalar, rational
+from .scalars import HBAR, ONE, RHAT, Scalar, rational, solve2
 from .shifts import FuncCoeffs, FuncExpr
 from .u2 import AElement
 from .theta import d_x, d_y, d_z
@@ -63,8 +65,8 @@ _HALF = rational(1, 2)
 _GEN_NAMES = {1: "x", 2: "y", 3: "z"}
 
 
-def _xgen(i: int, ring=FuncCoeffs) -> AElement:
-    return AElement.gen(_GEN_NAMES[i], ring)
+def _xgen(i: int) -> AElement:
+    return AElement.gen(_GEN_NAMES[i], FuncCoeffs)
 
 
 def sym_product(u: AElement, v: AElement) -> AElement:
@@ -78,34 +80,33 @@ _D = {1: d_x, 2: d_y, 3: d_z}
 class GaugeField:
     """Spatial su(2) gauge field: components A_mu^i over A_h."""
 
-    def __init__(self, components, ring=FuncCoeffs):
-        self.ring = ring
+    def __init__(self, components):
         self.components = dict(components)
 
     def component(self, mu: int, i: int) -> AElement:
-        return self.components.get((mu, i), AElement(self.ring))
+        return self.components.get((mu, i), AElement(FuncCoeffs))
 
     @classmethod
-    def hedgehog(cls, ring=FuncCoeffs, W: str = "W") -> "GaugeField":
+    def hedgehog(cls) -> "GaugeField":
         """The ansatz A_mu^i = eps(mu, i, j) x_j W(rhat)."""
-        w = AElement.from_coeff(FuncExpr.symbol(W), ring)
+        w = AElement.from_coeff(FuncExpr.symbol("W"), FuncCoeffs)
         comps = {}
         for mu in (1, 2, 3):
             for i in (1, 2, 3):
-                acc = AElement(ring)
+                acc = AElement(FuncCoeffs)
                 for j in (1, 2, 3):
                     s = eps(mu, i, j)
                     if s:
-                        t = _xgen(j, ring) * w
+                        t = _xgen(j) * w
                         acc = acc + (t if s > 0 else -t)
                 comps[mu, i] = acc
-        return cls(comps, ring)
+        return cls(comps)
 
 
-def hedgehog_scalar(ring=FuncCoeffs, F: str = "F"):
+def hedgehog_scalar():
     """The triplet phi^i = x_i F(rhat) of the ansatz."""
-    f = AElement.from_coeff(FuncExpr.symbol(F), ring)
-    return {i: _xgen(i, ring) * f for i in (1, 2, 3)}
+    f = AElement.from_coeff(FuncExpr.symbol("F"), FuncCoeffs)
+    return {i: _xgen(i) * f for i in (1, 2, 3)}
 
 
 class FieldStrength:
@@ -129,10 +130,6 @@ class FieldStrength:
                     out = out + (t if s > 0 else -t)
         self._cache[key] = out
         return out
-
-
-def field_strength(A: GaugeField) -> FieldStrength:
-    return FieldStrength(A)
 
 
 def covariant_derivative(A: GaugeField, phi, lam: int, i: int) -> AElement:
@@ -161,15 +158,15 @@ def bogomolny_residual(A, phi, F: FieldStrength, mu: int, nu: int, i: int) -> AE
 # -- the reduced system -------------------------------------------------------
 
 
-def profile_equations(W: str = "W", F: str = "F"):
+def profile_equations():
     """The two reduced residuals E1, E2 as expressions in the profiles.
 
     E1 = -(1/rhat) d_r W + W^2 - (1/rhat) d_r F + F*W
     E2 = ((rhat^2-hbar^2)/rhat) d_r W + 2W + 2hbar d_tau W
          - F - hbar d_tau F - (rhat^2-hbar^2) F*W
     """
-    w = FuncExpr.symbol(W)
-    f = FuncExpr.symbol(F)
+    w = FuncExpr.symbol("W")
+    f = FuncExpr.symbol("F")
     inv_r = ONE / RHAT
     r2h2 = RHAT**2 - HBAR**2
     e1 = (
@@ -194,35 +191,22 @@ def _solve_span(res: AElement, e1: FuncExpr, e2: FuncExpr):
 
     Central multipliers act coefficientwise on the monomial basis, so
     the problem splits per monomial into a 2-unknown linear solve over
-    the field of central functions.  Raises ReductionError when a
+    the field of central functions, with one row per profile term of
+    E1, E2 or the residual coordinate.  Raises ReductionError when a
     residual coordinate falls outside the span.
     """
-    keys = sorted(set(e1.terms) | set(e2.terms))
     ring = res.ring
+    span_keys = set(e1.terms) | set(e2.terms)
     u = {}
     v = {}
     for m, c in res.terms.items():
-        # pick a pivot pair of coordinates with a nonzero determinant
-        um = vm = None
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                a11, a12 = e1.coefficient(keys[a]), e2.coefficient(keys[a])
-                a21, a22 = e1.coefficient(keys[b]), e2.coefficient(keys[b])
-                det = a11 * a22 - a12 * a21
-                if not det:
-                    continue
-                r1, r2 = c.coefficient(keys[a]), c.coefficient(keys[b])
-                um = (r1 * a22 - r2 * a12) / det
-                vm = (a11 * r2 - a21 * r1) / det
-                break
-            if um is not None:
-                break
-        if um is None:
-            raise ReductionError(f"E1, E2 are degenerate on {c}")
-        if e1.mul_scalar(um) + e2.mul_scalar(vm) != c:
+        keys = sorted(span_keys | set(c.terms))
+        sol = solve2((e1.coefficient(k), e2.coefficient(k), c.coefficient(k)) for k in keys)
+        if sol is None:
             raise ReductionError(
                 f"residual coordinate at monomial {m} is outside span(E1, E2): {c}"
             )
+        um, vm = sol
         if um:
             u[m] = ring.from_scalar(um)
         if vm:
@@ -230,64 +214,43 @@ def _solve_span(res: AElement, e1: FuncExpr, e2: FuncExpr):
     return AElement(ring, u), AElement(ring, v)
 
 
+_INDEX_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
 @dataclass
 class HedgehogReduction:
-    """Result of the symbolic Bogomol'nyi reduction."""
+    """The certified Bogomol'nyi reduction of the hedgehog ansatz.
+
+    ``components[mu, nu, i]`` is ``(residual, u, v)`` for each of the
+    nine components with mu < nu: the Bogomol'nyi residual and the
+    scalar-coefficient multipliers with residual = u*E1 + v*E2.
+    """
 
     e1: FuncExpr
     e2: FuncExpr
-    residual_121: AElement
-    residual_123: AElement
-    zx_factor: AElement
-    extra_pair: dict
+    components: dict
 
 
-def hedgehog_reduce(extra_pair=(2, 3)) -> HedgehogReduction:
+def hedgehog_reduce() -> HedgehogReduction:
     """Derive the profile equations from the Bogomol'nyi components.
 
-    Computes the residuals of the (1,2,1) and (1,2,3) components under
-    the hedgehog ansatz and certifies exactly that
-
-        res(1,2,1) = sym(z, x) * E1
-        res(1,2,3) = E2 + (rhat^2 - hbar^2 - x^2 - y^2) * E1
-
-    (the second multiplier is z^2 in reduced form), then checks that the
-    components of one additional index pair lie in the span of E1, E2
-    over scalar-coefficient elements of A_h.
+    Solves every component (mu, nu, i), mu < nu in {1, 2, 3} and i in
+    1..3, as u*E1 + v*E2 over scalar-coefficient elements of A_h, and
+    raises ReductionError if one lies outside span(E1, E2).  The paper's
+    closed forms are (u, v) = (sym(z, x), 0) for (1,2,1) and
+    (rhat^2 - hbar^2 - x^2 - y^2, 1), i.e. (z^2, 1), for (1,2,3); the
+    identity ledger compares the solved multipliers with them.
     """
-    ring = FuncCoeffs
-    A = GaugeField.hedgehog(ring)
-    phi = hedgehog_scalar(ring)
-    Fs = field_strength(A)
+    A = GaugeField.hedgehog()
+    phi = hedgehog_scalar()
+    Fs = FieldStrength(A)
     e1, e2 = profile_equations()
-    e1a = AElement.from_coeff(e1, ring)
-    e2a = AElement.from_coeff(e2, ring)
-
-    res121 = bogomolny_residual(A, phi, Fs, 1, 2, 1)
-    res123 = bogomolny_residual(A, phi, Fs, 1, 2, 3)
-
-    zx = sym_product(_xgen(3, ring), _xgen(1, ring))
-    if res121 != zx * e1a:
-        raise ReductionError(
-            f"res(1,2,1) does not factor as sym(z,x)*E1; remainder "
-            f"{res121 - zx * e1a}"
-        )
-    x2 = _xgen(1, ring) * _xgen(1, ring)
-    y2 = _xgen(2, ring) * _xgen(2, ring)
-    zsq = AElement.from_scalar(RHAT**2 - HBAR**2, ring) - x2 - y2
-    if res123 != e2a + zsq * e1a:
-        raise ReductionError(
-            f"res(1,2,3) does not reduce to E2 + z^2*E1; remainder "
-            f"{res123 - (e2a + zsq * e1a)}"
-        )
-
-    extra = {}
-    mu, nu = extra_pair
-    for i in (1, 2, 3):
-        res = bogomolny_residual(A, phi, Fs, mu, nu, i)
-        extra[mu, nu, i] = _solve_span(res, e1, e2)
-
-    return HedgehogReduction(e1, e2, res121, res123, zx, extra)
+    components = {}
+    for mu, nu in _INDEX_PAIRS:
+        for i in (1, 2, 3):
+            res = bogomolny_residual(A, phi, Fs, mu, nu, i)
+            components[mu, nu, i] = (res, *_solve_span(res, e1, e2))
+    return HedgehogReduction(e1, e2, components)
 
 
 # -- numeric lattice solver ---------------------------------------------------

@@ -8,10 +8,11 @@ Grammar (left-associative, no implicit multiplication):
     base   := number | ident shiftargs? | '(' expr ')'
 
 Numbers are nonnegative integers or exact decimals; rationals are
-spelled with '/'.  Division is restricted to invertible central
-factors.  The identifiers t, x, y, z, tau, rhat, hbar and i are built
-in; any other identifier names an opaque central profile function, and
-may be applied to shifted arguments as in ``W(tau+2*hbar, rhat-hbar)``.
+spelled with '/'.  Exponents are at most ``MAX_EXPONENT``.  Division is
+restricted to invertible central factors.  The identifiers t, x, y, z,
+tau, rhat, hbar and i are built in; any other identifier names an
+opaque central profile function, and may be applied to shifted
+arguments as in ``W(tau+2*hbar, rhat-hbar)``.
 
 Expressions evaluate to canonical elements of A_h over the profile
 coefficient ring, so the printer's output parses back to itself.
@@ -33,6 +34,10 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = "+-*/^(),"
+
+# The work of x^n grows fast with n: (x+y+z)^16 takes seconds and ^32
+# a minute, so larger exponents are refused rather than run.
+MAX_EXPONENT = 16
 
 
 def tokenize(text: str):
@@ -139,7 +144,10 @@ class _Parser:
             kind, ev, epos = self.next()
             if kind != "num" or "." in ev:
                 raise ParseError("exponent must be a nonnegative integer", epos)
-            node = ("pow", node, int(ev))
+            digits = ev.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent must be at most {MAX_EXPONENT}", epos)
+            node = ("pow", node, int(digits))
         return node
 
     def base(self):

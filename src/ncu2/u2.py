@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import H, HBAR, I, ONE, RHAT, Scalar, TAU, ZERO
+from .scalars import H, HBAR, I, ONE, RHAT, Scalar, TAU, ZERO, solve2
 from .sparse import SparseSum, accumulate
 
 # letters: 0 = t, 1 = x, 2 = y, 3 = z
@@ -422,27 +422,13 @@ def cayley_hamilton() -> CHWitness:
     T0 = L[0][1]
     target = E[0][1]
     monos = sorted(set(T1.terms) | set(T0.terms) | set(target.terms))
-    # solve a 2-unknown exact linear system by elimination
-    rows = [
+    sol = solve2(
         (T1.terms.get(m, ZERO), T0.terms.get(m, ZERO), target.terms.get(m, ZERO))
         for m in monos
-    ]
-    pivot = next((r for r in rows if r[0]), None)
-    if pivot is None:
-        raise CHError("degenerate system for c1")
-    others = [r for r in rows if r is not pivot]
-    red = next(
-        (
-            (r[1] - pivot[1] * (r[0] / pivot[0]), r[2] - pivot[2] * (r[0] / pivot[0]))
-            for r in others
-            if (r[1] - pivot[1] * (r[0] / pivot[0]))
-        ),
-        None,
     )
-    if red is None:
-        raise CHError("degenerate system for c1")
-    beta = red[1] / red[0]
-    alpha = (pivot[2] - pivot[1] * beta) / pivot[0]
+    if sol is None:
+        raise CHError("no central c1 = alpha*t + beta solves E12 = c1*L12")
+    alpha, beta = sol
     c1 = t * alpha + CompactElement.scalar(beta)
     c2 = c1 * L[0][0] - E[0][0]
     ident = [[c2, CompactElement()], [CompactElement(), c2]]

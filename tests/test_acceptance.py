@@ -140,8 +140,18 @@ def test_09_hedgehog_reduction():
     red = hedgehog_reduce()
     x = AElement.gen("x", FuncCoeffs)
     z = AElement.gen("z", FuncCoeffs)
-    factor_ok = red.zx_factor == sym_product(z, x)
-    extra_ok = set(red.extra_pair) == {(2, 3, 1), (2, 3, 2), (2, 3, 3)}
+    e1 = AElement.from_coeff(red.e1, FuncCoeffs)
+    e2 = AElement.from_coeff(red.e2, FuncCoeffs)
+    res121, u121, v121 = red.components[1, 2, 1]
+    factor_ok = u121 == sym_product(z, x) and not v121 and res121 == u121 * e1
+    keys_ok = set(red.components) == {
+        (mu, nu, i) for mu, nu in ((1, 2), (1, 3), (2, 3)) for i in (1, 2, 3)
+    }
+    extra_ok = keys_ok and all(
+        res == u * e1 + v * e2
+        for (mu, nu, i), (res, u, v) in red.components.items()
+        if (mu, nu) == (2, 3)
+    )
     _report(
         "Bogomolnyi components reduce to E1, E2 with the sym(z,x) factor; "
         "extra index pair in span",

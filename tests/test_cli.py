@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ncu2.cli import main
+from ncu2.cli import MAX_STEPS, main
 
 
 def test_reduce(capsys):
@@ -116,6 +116,24 @@ def test_solve_hedgehog_steps_below_one_is_usage_error(steps, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ncu2: --steps must be at least 1, got {steps}\n"
+
+
+def test_solve_hedgehog_steps_above_the_cap_is_usage_error(capsys):
+    steps = MAX_STEPS + 1
+    rc = main(
+        ["solve-hedgehog", "--hbar", "1/16", "--r0", "1", "--steps", str(steps), "--init", "classical"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ncu2: --steps must be at most {MAX_STEPS}, got {steps}\n"
+
+
+def test_reduce_exponent_above_the_cap_is_usage_error(capsys):
+    assert main(["reduce", "x^100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ncu2: exponent must be at most 16 at offset 2\n"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -73,7 +73,7 @@ INVOCATIONS = {
     ),
     "verify ch json": (
         ["verify", "--suite", "ch", "--format", "json"],
-        "01a61946f5dc99e39736d9a40bcfa3fb36abd6381fc35d1852e8924c902160f9",
+        "9821213ca157cc8bdd4ea8a27a68fe8cb6b4a10566b76e51c1e7a84c64368709",
     ),
     "verify leibniz seed 0": (
         ["verify", "--suite", "leibniz", "--seed", "0"],
@@ -89,11 +89,11 @@ INVOCATIONS = {
     ),
     "verify hedgehog": (
         ["verify", "--suite", "hedgehog"],
-        "8152223da6276f548094317105c69678f17bf2ccff8ca04bcfd6afea36b30b90",
+        "3adb273c7373ecb24340cd22f3f87242a8717c12c360ceddeafa5631869284c5",
     ),
     "verify hedgehog json": (
         ["verify", "--suite", "hedgehog", "--format", "json"],
-        "cc228663255349e34583affc1bbc81e8d92b742504684af3f56222c4ef4e5b45",
+        "76447629922ed5c419e92d84c1d44e76ea13d3cb7cd5c49aabce67854aadff12",
     ),
     "verify rep": (
         ["verify", "--suite", "rep"],

@@ -11,6 +11,7 @@ from ncu2 import hedgehog
 from ncu2.cli import main
 from ncu2.hedgehog import (
     DomainError,
+    FieldStrength,
     GaugeField,
     HedgehogError,
     SingularStepError,
@@ -20,7 +21,6 @@ from ncu2.hedgehog import (
     classical_rhs,
     classical_seed,
     eps,
-    field_strength,
     hedgehog_reduce,
     hedgehog_scalar,
     march,
@@ -50,7 +50,7 @@ def test_sym_product_is_symmetric():
 
 def test_field_strength_antisymmetry():
     A = GaugeField.hedgehog()
-    Fs = field_strength(A)
+    Fs = FieldStrength(A)
     for i in (1, 2, 3):
         assert Fs.component(2, 1, i) == -Fs.component(1, 2, i)
         assert not Fs.component(1, 1, i)
@@ -61,15 +61,29 @@ def test_reduction_certificate():
     e1, e2 = profile_equations()
     assert red.e1 == e1 and red.e2 == e2
     e1a = AElement.from_coeff(e1, FuncCoeffs)
-    assert red.residual_121 == red.zx_factor * e1a
-    # every component of the extra pair is certified inside span(E1, E2)
-    assert set(red.extra_pair) == {(2, 3, 1), (2, 3, 2), (2, 3, 3)}
+    e2a = AElement.from_coeff(e2, FuncCoeffs)
+    x, y, z = (AElement.gen(n, FuncCoeffs) for n in "xyz")
+    assert set(red.components) == {
+        (mu, nu, i) for mu, nu in ((1, 2), (1, 3), (2, 3)) for i in (1, 2, 3)
+    }
+    # the paper's closed forms: res(1,2,1) = sym(z,x) E1 and
+    # res(1,2,3) = E2 + z^2 E1 with z^2 = rhat^2 - hbar^2 - x^2 - y^2
+    res121, u, v = red.components[1, 2, 1]
+    zx = sym_product(z, x)
+    assert res121 == zx * e1a and u == zx and not v
+    res123, u, v = red.components[1, 2, 3]
+    zsq = AElement.from_scalar(RHAT**2 - HBAR**2, FuncCoeffs) - x * x - y * y
+    assert res123 == e2a + zsq * e1a
+    assert u == zsq and v == AElement.from_scalar(ONE, FuncCoeffs)
+    # every component is certified inside span(E1, E2)
+    for res, u, v in red.components.values():
+        assert res and res == u * e1a + v * e2a
 
 
 def test_residual_vanishes_on_diagonal_indices():
     A = GaugeField.hedgehog()
     phi = hedgehog_scalar()
-    Fs = field_strength(A)
+    Fs = FieldStrength(A)
     r = bogomolny_residual(A, phi, Fs, 1, 2, 3)
     assert r  # nonzero for unconstrained profiles
     assert not bogomolny_residual(A, phi, Fs, 1, 1, 2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ncu2.parser import ParseError, evaluate, parse
+from ncu2.parser import MAX_EXPONENT, ParseError, evaluate, parse
 from ncu2.scalars import H, HBAR, I, RHAT, rational
 from ncu2.shifts import FuncCoeffs, FuncExpr
 from ncu2.u2 import AElement
@@ -68,6 +68,15 @@ def test_syntax_error_positions():
         parse("2^x")
     with pytest.raises(ParseError):
         parse("x y")  # no implicit multiplication
+
+
+def test_exponent_bound():
+    # parsed only: the bound is about not running large powers
+    assert parse(f"x^{MAX_EXPONENT}") == parse(f"x^00{MAX_EXPONENT}")
+    for big in (MAX_EXPONENT + 1, 10**11, "9" * 5000):
+        with pytest.raises(ParseError, match=f"at most {MAX_EXPONENT}") as exc:
+            parse(f"(x+y)^{big}")
+        assert exc.value.pos == 6
 
 
 def test_bad_divisions():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ_I
 
+from ncu2.hedgehog import ReductionError, _solve_span, profile_equations
 from ncu2.scalars import (
     DivisionByZero,
     HBAR,
@@ -19,7 +20,10 @@ from ncu2.scalars import (
     _fkey,
     gauss,
     rational,
+    solve2,
 )
+from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.u2 import AElement
 
 _GENS = (TAU, RHAT, HBAR, I)
 _DENS = (RHAT, RHAT + HBAR, RHAT - HBAR, TAU + RHAT, HBAR * 2 + TAU)
@@ -174,3 +178,42 @@ def test_results_are_canonical(a, b, p, q):
     for s in (a + b - b, a * b / b if b else a):
         assert (s.num, s.den) == (a.num, a.den)
     assert (a - a).den == ()
+
+
+def _row(a, b, u, v):
+    return (a, b, a * u + b * v)
+
+
+def test_solve2_unique_solution():
+    u, v = TAU / RHAT, I * HBAR + ONE
+    rows = [
+        (ZERO, ZERO, ZERO),
+        _row(RHAT, ONE, u, v),
+        _row(RHAT * 2, rational(2), u, v),  # dependent on the row above
+        _row(HBAR, TAU - RHAT, u, v),
+        _row(ZERO, ONE / (RHAT + HBAR), u, v),
+    ]
+    assert solve2(rows) == (u, v)
+
+
+def test_solve2_inconsistent_third_row():
+    rows = [(ONE, ZERO, TAU), (ZERO, ONE, RHAT), (ONE, ONE, TAU + RHAT + HBAR)]
+    assert solve2(rows) is None
+    assert solve2(rows[:2]) == (TAU, RHAT)
+
+
+def test_solve2_rank_deficient_rows():
+    assert solve2([(ONE, TAU, HBAR), (RHAT, RHAT * TAU, RHAT * HBAR)]) is None
+    assert solve2([(ONE, TAU, HBAR)]) is None
+    assert solve2([]) is None
+
+
+def test_solve_span_rejects_a_coordinate_outside_e1_e2():
+    e1, e2 = profile_equations()
+    x = AElement.gen("x", FuncCoeffs)
+    u, v = _solve_span(x.mul_coeff(e1 * RHAT + e2), e1, e2)
+    assert (u, v) == (x.mul_scalar(RHAT), x)
+    # G appears in neither E1 nor E2, so only its own row sees it
+    stray = e1 + FuncExpr.symbol("G")
+    with pytest.raises(ReductionError, match="outside span"):
+        _solve_span(x.mul_coeff(stray), e1, e2)
