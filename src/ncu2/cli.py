@@ -28,7 +28,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .hedgehog import DomainError, HedgehogError, classical_seed, march
+from .hedgehog import DomainError, HedgehogError, check_domain, classical_seed, march
 from .identities import SUITES, run_suite
 from .parser import ParseError, evaluate
 from .spinreps import ch_residual, radius_residual
@@ -50,6 +50,18 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _float(flag: str, value: Fraction) -> float:
+    """A rational flag as a binary64 float; a UsageError when the float
+    would overflow, or would be 0.0 while the rational is not."""
+    try:
+        out = float(value)
+    except OverflowError:
+        raise UsageError(f"{flag} overflows a binary64 float") from None
+    if out == 0 and value != 0:
+        raise UsageError(f"{flag} underflows to 0 as a binary64 float")
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,9 +170,10 @@ def _cmd_solve_hedgehog(args) -> int:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
     if args.steps > MAX_STEPS:
         raise UsageError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
-    hbar = float(args.hbar)
-    r0 = float(args.r0)
+    hbar = _float("--hbar", args.hbar)
+    r0 = _float("--r0", args.r0)
     init = _read_init(args.init)
+    check_domain(hbar, r0)
     if init is None:
         init = classical_seed(r0, hbar)
     sol = march(init, hbar, r0, args.steps)
@@ -181,7 +194,7 @@ def _cmd_rep_check(args) -> int:
         raise UsageError(f"--two-j must be in 0..{MAX_TWO_J}, got {args.two_j}")
     if args.hbar <= 0:
         raise UsageError(f"--hbar must be positive, got {args.hbar}")
-    hbar = float(args.hbar)
+    hbar = _float("--hbar", args.hbar)
     radius = radius_residual(args.two_j, hbar)
     ch = ch_residual(args.two_j, hbar)
     passed = radius < 1e-10 and ch < 1e-12

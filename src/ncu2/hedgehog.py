@@ -374,6 +374,14 @@ def _march(init, h, r0, n):
     )
 
 
+def check_domain(hbar: float, r0: float) -> None:
+    """Raise DomainError unless the lattice starts inside r0 > hbar > 0."""
+    if not hbar > 0:
+        raise DomainError(f"hbar must be positive, got {hbar}")
+    if not r0 > hbar:
+        raise DomainError(f"need r0 > hbar, got r0 = {r0}, hbar = {hbar}")
+
+
 def march(init, hbar: float, r0: float, steps: int) -> LatticeSolution:
     """Solve E1 = E2 = 0 forward on the lattice r_k = r0 + k*hbar.
 
@@ -383,10 +391,7 @@ def march(init, hbar: float, r0: float, steps: int) -> LatticeSolution:
     SingularStepError at the first node where that system is singular or
     its solution is not finite, so no row returned is NaN or infinite.
     """
-    if not hbar > 0:
-        raise DomainError(f"hbar must be positive, got {hbar}")
-    if not r0 > hbar:
-        raise DomainError(f"need r0 > hbar, got r0 = {r0}, hbar = {hbar}")
+    check_domain(hbar, r0)
     n = int(steps)
     if n < 1:
         raise HedgehogError(f"need at least one step, got {steps}")
@@ -441,8 +446,13 @@ def bps_profile(r: float):
 
     K = r/sinh(r) and H = r coth(r) - 1 satisfy r K' = -K H and
     r H' - H = 1 - K^2, which is this system in the standard form.
+    Where sinh(r) overflows binary64 (r above about 710.5), K is
+    computed as 2r e^-r / (1 - e^-2r).
     """
-    K = r / math.sinh(r)
+    try:
+        K = r / math.sinh(r)
+    except OverflowError:
+        K = 2.0 * r * math.exp(-r) / (1.0 - math.exp(-2.0 * r))
     Hh = r / math.tanh(r) - 1.0
     return (K - 1.0) / (r * r), -Hh / (r * r)
 

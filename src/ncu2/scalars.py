@@ -554,6 +554,49 @@ def rational(num, den=1) -> Scalar:
     return Scalar(Fraction(num, den))
 
 
+# -- batched sums of products ------------------------------------------------
+
+
+def product_parts(a: Scalar, b: Scalar):
+    """``a * b`` before cancellation: (numerator product, merged
+    denominator as a sorted tuple of (factor, exponent))."""
+    if not b.den:
+        den = a.den
+    elif not a.den:
+        den = b.den
+    else:
+        merged = dict(a.den)
+        for f, e in b.den:
+            merged[f] = merged.get(f, 0) + e
+        den = tuple(sorted(merged.items(), key=lambda fe: _fkey(fe[0])))
+    return a.num * b.num, den
+
+
+def sum_parts(items) -> Scalar:
+    """The sum of ``sign * part * s`` over ``(sign, part, s)`` items, where
+    ``part`` comes from :func:`product_parts` and ``s`` is a Scalar with
+    no denominator (a structure constant of the algebra).
+
+    The numerators that share a denominator are added as polynomials,
+    each such sum is reduced once, and the few results are added.
+    """
+    groups = {}
+    for sign, (num, den), s in items:
+        if s is not ONE:
+            num = num * s.num
+        acc = groups.get(den)
+        if acc is None:
+            groups[den] = num if sign > 0 else -num
+        else:
+            groups[den] = acc + num if sign > 0 else acc - num
+    out = ZERO
+    for den, num in groups.items():
+        if num:
+            part = Scalar._normalized(num, den)
+            out = part if not out else out + part
+    return out
+
+
 def solve2(rows):
     """The (u, v) with a*u + b*v == c on every row (a, b, c), or None.
 

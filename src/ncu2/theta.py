@@ -9,16 +9,22 @@ The map theta sends an element a to the matrix
 
 and preserves products.  It is computed multiplicatively from the
 classical actions on the generators and the closed difference formulas
-on central functions; every individual derivative is read back from a
-matrix entry.  The compositional route is the ground truth for the
-radial derivative, the Laplacian and the operator Q = x d_x + y d_y +
-z d_z; the printed closed forms are kept alongside for comparison.
+on central functions: with X = x E_x + y E_y + z E_z and the central
+parts diag, off of a coefficient c (``theta_parts``),
+
+    theta(c*m) = diag theta(m) + off X theta(m),
+
+where theta(m) and X theta(m) of a bare monomial m are cached per ring.
+Every individual derivative is read back from a matrix entry.  The
+compositional route is the ground truth for the radial derivative, the
+Laplacian and the operator Q = x d_x + y d_y + z d_z; the printed
+closed forms are kept alongside for comparison.
 """
 
 from __future__ import annotations
 
 from .scalars import HBAR, I, ONE, RHAT, Scalar
-from .u2 import AElement, ScalarCoeffs
+from .u2 import AElement, ScalarCoeffs, sum_of_products
 
 _IH = I * HBAR
 _INV_IH = ONE / _IH
@@ -80,25 +86,15 @@ class ThetaMatrix:
         )
 
     def __matmul__(self, other):
-        z = AElement(self.ring)
-        out = [z, z, z, z]
+        # component k collects sign * a[g] * b[h] over E_g E_h = sign * E_k
         a, b = self.comps, other.comps
-        if a[0].terms:
-            for h in range(4):
-                if b[h].terms:
-                    out[h] = out[h] + a[0] * b[h]
+        pairs = [[(1, a[0], b[k])] for k in range(4)]
         for g in range(1, 4):
-            if not a[g].terms:
-                continue
-            if b[0].terms:
-                out[g] = out[g] + a[g] * b[0]
+            pairs[g].append((1, a[g], b[0]))
             for h in range(1, 4):
-                if not b[h].terms:
-                    continue
                 sign, k = _QTAB[g, h]
-                p = a[g] * b[h]
-                out[k] = out[k] + (p if sign > 0 else -p)
-        return ThetaMatrix(self.ring, out)
+                pairs[k].append((sign, a[g], b[h]))
+        return ThetaMatrix(self.ring, [sum_of_products(self.ring, p) for p in pairs])
 
     def __eq__(self, other):
         # I, E_x, E_y, E_z are linearly independent over A_h, so
@@ -130,7 +126,8 @@ class ThetaMatrix:
     __repr__ = __str__
 
 
-# theta of the generators and of bare monomials, keyed by (ring, key)
+# theta of the generators, and (theta(m), X @ theta(m)) of bare monomials
+# m, keyed by (ring, key)
 _CACHE = {}
 
 
@@ -151,19 +148,9 @@ def _gen_matrices(ring):
     return mats
 
 
-def _theta_central(c, ring) -> ThetaMatrix:
-    """theta of a central coefficient via the closed difference formulas."""
-    diag, off = ring.theta_parts(c)
-    z = AElement(ring)
-    comps = [AElement(ring, {(0, 0, 0): diag}), z, z, z]
-    if off:
-        for k, name in enumerate(("x", "y", "z"), start=1):
-            comps[k] = AElement.gen(name, ring).mul_scalar(off)
-    return ThetaMatrix(ring, comps)
-
-
-def _theta_mono(mono, ring) -> ThetaMatrix:
-    """theta of a bare monomial x^p y^q z^e, cached per ring."""
+def _theta_mono(mono, ring):
+    """(theta(m), X @ theta(m)) of a bare monomial m = x^p y^q z^e, with
+    X = x E_x + y E_y + z E_z; cached per ring."""
     try:
         return _CACHE[ring, mono]
     except KeyError:
@@ -173,20 +160,23 @@ def _theta_mono(mono, ring) -> ThetaMatrix:
     for name, k in zip("xyz", mono):
         for _ in range(k):
             term = term @ gens[name]
-    _CACHE[ring, mono] = term
-    return term
+    X = ThetaMatrix(ring, [AElement(ring)] + [AElement.gen(n, ring) for n in "xyz"])
+    _CACHE[ring, mono] = pair = (term, X @ term)
+    return pair
 
 
 def theta(a: AElement) -> ThetaMatrix:
-    """The multiplicative matrix of an element of A_h."""
+    """The multiplicative matrix of an element of A_h: each component is
+    one sum of products, diag theta(m) + off X theta(m) over the terms c*m."""
     ring = a.ring
-    total = None
+    pairs = ([], [], [], [])
     for mono, c in a.terms.items():
-        term = _theta_central(c, ring)
-        if any(mono):
-            term = term @ _theta_mono(mono, ring)
-        total = term if total is None else total + term
-    return total if total is not None else ThetaMatrix.zero(ring)
+        th, xth = _theta_mono(mono, ring)
+        diag, off = (AElement(ring, {(0, 0, 0): p}) for p in ring.theta_parts(c))
+        for k in range(4):
+            pairs[k].append((1, diag, th.comps[k]))
+            pairs[k].append((1, off, xth.comps[k]))
+    return ThetaMatrix(ring, [sum_of_products(ring, p) for p in pairs])
 
 
 # -- named derivatives ------------------------------------------------------

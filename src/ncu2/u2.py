@@ -15,7 +15,13 @@ AElement coefficients are generic: plain central functions (Scalar) or
 polynomials in opaque shifted profile symbols (FuncExpr).  A coefficient
 ring is a class with ``zero``, ``one`` and ``from_scalar`` (the image of
 a Scalar in the ring); it inherits the closed difference formulas
-``d_tau``, ``d_radial`` and ``theta_parts`` from :class:`CoeffRing`.
+``d_tau``, ``d_radial`` and ``theta_parts`` from :class:`CoeffRing`, and
+the two hooks of :func:`sum_of_products`, the one AElement product loop:
+``product_parts(a, b)``, called once per pair of terms, and
+``sum_parts(items)``, called once per output coefficient on its
+``(sign, part, structure constant)`` items.  The default is ``a * b``
+and a fold; :class:`ScalarCoeffs` defers cancellation to the sum, so
+each output coefficient is reduced once.
 Ring elements add, negate, test for zero with ``bool``, multiply with
 ``*`` (by each other and by a Scalar) and shift their arguments with
 ``shift_args``.  Both element types scale through the one
@@ -29,7 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import H, HBAR, I, ONE, RHAT, Scalar, TAU, ZERO, solve2
+from .scalars import (
+    H, HBAR, I, ONE, RHAT, Scalar, TAU, ZERO, product_parts, solve2, sum_parts,
+)
 from .sparse import NUMBERS, SparseSum, accumulate, normal_order
 
 # letters: 0 = t, 1 = x, 2 = y, 3 = z
@@ -88,14 +96,15 @@ def _zreduce(a, b, c):
 
 @lru_cache(maxsize=None)
 def _amono_mul(m1, m2):
-    """Product of two reduced monomials: (((a,b,e), Scalar), ...)."""
+    """Product of two reduced monomials: (((a,b,e), Scalar), ...), with
+    the ``ONE`` object itself for a unit structure constant."""
     w = _word_of(0, *m1) + _word_of(0, *m2)
     out = {}
     for w2, s in normal_order(w, _swap):
         _, a, b, c = _counts(w2)
         for m, s2 in _zreduce(a, b, c):
             accumulate(out, m, s * s2)
-    return tuple(out.items())
+    return tuple((m, ONE if s == ONE else s) for m, s in out.items())
 
 
 @lru_cache(maxsize=None)
@@ -202,16 +211,59 @@ class CoeffRing:
         off = (sp - sm) * _I_2R
         return diag, off
 
+    @staticmethod
+    def product_parts(a, b):
+        """A product in the form :meth:`sum_parts` takes; here ``a * b``."""
+        return a * b
+
+    @classmethod
+    def sum_parts(cls, items):
+        """The sum of ``sign * part * s`` over ``(sign, part, s)`` items,
+        ``s`` a Scalar structure constant; here a fold in item order."""
+        out = {}
+        for sign, p, s in items:
+            if s is not ONE:
+                p = p * s
+            accumulate(out, None, p if sign > 0 else -p)
+        return out.get(None, cls.zero)
+
 
 class ScalarCoeffs(CoeffRing):
-    """Coefficient ring of plain central functions f(tau, rhat)."""
+    """Coefficient ring of plain central functions f(tau, rhat); a sum of
+    products is reduced once per output coefficient."""
 
     zero = ZERO
     one = ONE
+    product_parts = staticmethod(product_parts)
+    sum_parts = staticmethod(sum_parts)
 
     @staticmethod
     def from_scalar(s: Scalar) -> Scalar:
         return s
+
+
+def sum_of_products(ring, pairs):
+    """The AElement sum of ``sign * x * y`` over ``(sign, x, y)`` pairs of
+    AElements over ``ring``: the one AElement product loop.
+
+    Each pair of terms becomes one ``ring.product_parts``; the parts are
+    gathered per output monomial with their structure constants, and
+    each output coefficient is summed once by ``ring.sum_parts``.
+    """
+    parts = ring.product_parts
+    buckets = {}
+    for sign, x, y in pairs:
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                p = parts(c1, c2)
+                for m, s in _amono_mul(m1, m2):
+                    buckets.setdefault(m, []).append((sign, p, s))
+    out = AElement(ring)
+    for m, items in buckets.items():
+        c = ring.sum_parts(items)
+        if c:
+            out.terms[m] = c
+    return out
 
 
 class AElement(SparseSum):
@@ -261,13 +313,7 @@ class AElement(SparseSum):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for m, s in _amono_mul(m1, m2):
-                    accumulate(out, m, c if s is ONE or s == ONE else c * s)
-        return self._new(out)
+        return sum_of_products(self.ring, ((1, self, other),))
 
     def is_central(self) -> bool:
         return all(m == (0, 0, 0) for m in self.terms)

@@ -238,3 +238,43 @@ def test_rep_check_bad_arguments_are_usage_errors(flags, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_solve_hedgehog_r0_zero_is_a_domain_error_before_the_seed(capsys):
+    # the classical seed divides by r0, so the domain is checked first
+    rc = main(["solve-hedgehog", "--r0", "0", "--hbar", "1/16", "--steps", "4", "--init", "classical"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ncu2: need r0 > hbar, got r0 = 0.0, hbar = 0.0625\n"
+
+
+@pytest.mark.parametrize("r0", ["711", "1000"])
+def test_solve_hedgehog_classical_seed_where_sinh_overflows(r0, capsys):
+    rc = main(["solve-hedgehog", "--r0", r0, "--hbar", "1", "--steps", "2", "--init", "classical"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "k,r,W,F" and len(rows) == 4
+    r = float(r0)
+    w, f = (float(v) for v in rows[1].split(",")[2:])
+    # far out, K = r/sinh r vanishes: W = -1/r^2, F = -(r - 1)/r^2
+    assert w == pytest.approx(-1 / r**2, rel=1e-12)
+    assert f == pytest.approx(-(r - 1) / r**2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["solve-hedgehog", "--r0", "1e400", "--hbar", "1", "--steps", "2", "--init", "classical"],
+            "ncu2: --r0 overflows a binary64 float\n",
+        ),
+        (["rep-check", "--two-j", "3", "--hbar", "1e400"], "ncu2: --hbar overflows a binary64 float\n"),
+        (["rep-check", "--two-j", "3", "--hbar", "1e-400"], "ncu2: --hbar underflows to 0 as a binary64 float\n"),
+    ],
+)
+def test_rational_flags_outside_binary64_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message

@@ -9,6 +9,11 @@ the invocation whose bytes moved.
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +141,36 @@ def _digest(argv) -> str:
 def test_cli_bytes(name):
     argv, expected = INVOCATIONS[name]
     assert _digest(argv) == expected, f"output bytes of `ncu2 {' '.join(argv)}` ({name}) changed"
+
+
+# runs every invocation in a fresh interpreter and prints {name: digest}
+_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("cli_bytes", sys.argv[1])
+pins = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pins)
+print(json.dumps({n: pins._digest(argv) for n, (argv, _) in pins.INVOCATIONS.items()}))
+"""
+
+
+def test_cli_bytes_under_other_hash_seeds():
+    """The same bytes in processes whose str hashes, and so set and dict
+    orders built from them, differ from this one's: one child per seed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    children = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        children[seed] = subprocess.Popen(
+            [sys.executable, "-c", _CHILD, __file__],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    for seed, child in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        got = json.loads(out)
+        moved = sorted(n for n, (_, pin) in INVOCATIONS.items() if got[n] != pin)
+        assert not moved, f"under PYTHONHASHSEED={seed} the bytes of {moved} changed"

@@ -6,6 +6,7 @@ import pytest
 
 from ncu2.identities import random_central, random_monomial_element
 from ncu2.scalars import H, HBAR, I, ONE, RHAT, Scalar, TAU, rational
+from ncu2.shifts import FuncCoeffs, FuncExpr
 from ncu2.theta import (
     ThetaMatrix,
     d_radial_closed,
@@ -82,6 +83,72 @@ def test_component_product_matches_dense_product():
         ta = theta(random_monomial_element(rng, max_deg=2))
         tb = theta(random_monomial_element(rng, max_deg=2))
         assert ta @ tb == _matmul_dense(ta, tb)
+
+
+def _seeded_element(rng, ring, terms=2, max_deg=2):
+    """A sum of seeded monomials with multi-term central coefficients;
+    over FuncCoeffs each coefficient also carries a shifted profile."""
+    out = AElement(ring)
+    for _ in range(terms):
+        t = random_monomial_element(rng, ring, max_deg=max_deg)
+        if ring is FuncCoeffs:
+            atom = FuncExpr.symbol(rng.choice("WF"), rng.randint(-1, 1), rng.randint(-1, 1))
+            t = t.mul_scalar(atom.mul_scalar(random_central(rng)) + FuncExpr.from_scalar(ONE))
+        out = out + t
+    return out
+
+
+def _theta_composed(a):
+    """Oracle for theta(): per term c*m, theta(c) @ theta(x)^p @ theta(y)^q
+    @ theta(z)^e, with theta(c) = diag + off*(x E_x + y E_y + z E_z) and
+    the generator matrices written out here."""
+    ring = a.ring
+    zero = AElement(ring)
+    ih = AElement.from_scalar(I * HBAR, ring)
+    gens = {}
+    for k, name in enumerate("xyz", start=1):
+        comps = [AElement.gen(name, ring), zero, zero, zero]
+        comps[k] = ih
+        gens[name] = ThetaMatrix(ring, comps)
+    total = ThetaMatrix.zero(ring)
+    for mono, c in a.terms.items():
+        diag, off = ring.theta_parts(c)
+        term = ThetaMatrix(
+            ring,
+            [AElement.from_coeff(diag, ring)]
+            + [AElement.gen(n, ring).mul_scalar(off) for n in "xyz"],
+        )
+        for name, k in zip("xyz", mono):
+            for _ in range(k):
+                term = term @ gens[name]
+        total = total + term
+    return total
+
+
+def _assert_reduced(tm):
+    """No denominator factor of a Scalar coefficient divides its numerator."""
+    for comp in tm.comps:
+        for c in comp.terms.values():
+            for f, _ in c.den:
+                assert c.num.div(f)[1], f"{f} divides the numerator of {c}"
+
+
+@pytest.mark.parametrize("ring, terms", [(ScalarCoeffs, 2), (FuncCoeffs, 1)])
+def test_batched_theta_and_product_match_their_oracles(ring, terms):
+    rng = random.Random(17)
+    for _ in range(3):
+        a = _seeded_element(rng, ring, terms)
+        b = _seeded_element(rng, ring, terms)
+        ta, tb = theta(a), theta(b)
+        for e, te in ((a, ta), (b, tb), (a + b, theta(a + b))):
+            assert te == _theta_composed(e)
+        # every component is nonzero, so all six negative _QTAB signs occur
+        assert all(ta.comps) and all(tb.comps)
+        prod = ta @ tb
+        assert prod == _matmul_dense(ta, tb)
+        if ring is ScalarCoeffs:
+            _assert_reduced(ta)
+            _assert_reduced(prod)
 
 
 def test_theta_of_radius():

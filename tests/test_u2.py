@@ -1,13 +1,19 @@
 """The compact u(2) picture and the quantum radius."""
 
+import random
+
 import pytest
 
 from ncu2.glweyl import compact_generators_as_gl
+from ncu2.identities import random_central, random_monomial_element
 from ncu2.scalars import H, HBAR, I, ONE, RHAT, TAU, rational
+from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.sparse import accumulate
 from ncu2.u2 import (
     AElement,
     CompactElement,
     ScalarCoeffs,
+    _amono_mul,
     cayley_hamilton,
     generating_matrix,
     quantum_radius_square,
@@ -102,3 +108,51 @@ def test_coefficient_access():
     assert not e.is_central()
     assert _c(RHAT).is_central()
     assert _c(RHAT).central_part() == RHAT
+
+
+# -- the batched product loop against the per-term product -----------------
+
+
+def _product_per_term(x, y):
+    """Oracle for ``*``: every coefficient product and every partial sum
+    is reduced on the spot, one term pair and one output monomial at a
+    time."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            c = c1 * c2
+            for m, s in _amono_mul(m1, m2):
+                accumulate(out, m, c if s == ONE else c * s)
+    return AElement(x.ring, out)
+
+
+def _assert_reduced(e):
+    """No denominator factor of a Scalar coefficient divides its numerator."""
+    for c in e.terms.values():
+        for f, _ in c.den:
+            assert c.num.div(f)[1], f"{f} divides the numerator of {c}"
+
+
+def _seeded_element(rng, ring, terms=3, max_deg=3):
+    """A sum of seeded monomials with multi-term central coefficients;
+    over FuncCoeffs each coefficient also carries a shifted profile."""
+    out = AElement(ring)
+    for _ in range(terms):
+        t = random_monomial_element(rng, ring, max_deg=max_deg)
+        if ring is FuncCoeffs:
+            atom = FuncExpr.symbol(rng.choice("WF"), rng.randint(-1, 1), rng.randint(-1, 1))
+            t = t.mul_scalar(atom.mul_scalar(random_central(rng)) + FuncExpr.from_scalar(ONE))
+        out = out + t
+    return out
+
+
+@pytest.mark.parametrize("ring", [ScalarCoeffs, FuncCoeffs])
+def test_product_matches_the_per_term_product(ring):
+    rng = random.Random(17)
+    for _ in range(6):
+        x = _seeded_element(rng, ring)
+        y = _seeded_element(rng, ring)
+        xy = x * y
+        assert xy == _product_per_term(x, y)
+        if ring is ScalarCoeffs:
+            _assert_reduced(xy)
