@@ -13,14 +13,13 @@ from .glweyl import GlWeylElement, TensorElement, gl2
 from .u2 import (
     AElement,
     CompactElement,
-    ScalarCoeffs,
     cayley_hamilton,
     generating_matrix,
     quantum_radius_square,
     reduce_casimir,
     to_compact,
 )
-from .shifts import FuncCoeffs, FuncExpr, atom
+from .shifts import FuncExpr, atom
 from .theta import (
     ThetaMatrix,
     d_radial_closed,
@@ -64,7 +63,6 @@ from .parser import ParseError, evaluate, parse
 __all__ = [
     "AElement",
     "CompactElement",
-    "FuncCoeffs",
     "FuncExpr",
     "GaugeField",
     "GlWeylElement",
@@ -80,7 +78,6 @@ __all__ = [
     "RepMatrices",
     "SUITES",
     "Scalar",
-    "ScalarCoeffs",
     "SingularStepError",
     "TAU",
     "TensorElement",

@@ -9,9 +9,10 @@ Subcommands:
     rep-check --two-j N ...      numeric residuals in a spin representation
 
 Exit codes: 0 on success, 1 when a check fails, 2 on usage errors
-(including unparsable expressions and a solve-hedgehog lattice outside
-the domain r0 > hbar > 0).  Rational flags accept p/q or decimal
-notation; decimals are converted exactly as written.
+(including unparsable expressions, a solve-hedgehog lattice outside
+the domain r0 > hbar > 0 and an init file that cannot be read as UTF-8
+text; a failed write of --output exits 1).  Rational flags accept p/q
+or decimal notation; decimals are converted exactly as written.
 
 The verify ledger in JSON mode has the schema
 
@@ -25,8 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .hedgehog import DomainError, HedgehogError, check_domain, classical_seed, march
 from .identities import SUITES, run_suite
@@ -45,7 +49,16 @@ MAX_TWO_J = 100
 MAX_STEPS = 10**6
 
 
+# the exponent of a decimal like 1e10000: Fraction would build the power
+# of ten exactly, which takes seconds from 1e10000000 on, and more than
+# four digits is far outside binary64 anyway
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*$", re.IGNORECASE)
+
+
 def _fraction(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 4:
+        raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -152,8 +165,11 @@ def _cmd_verify(args) -> int:
 def _read_init(source: str):
     if source == "classical":
         return None
-    with open(source) as fh:
-        text = fh.read()
+    try:
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read init file: {exc}") from None
     try:
         vals = [float(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
@@ -176,7 +192,10 @@ def _cmd_solve_hedgehog(args) -> int:
     check_domain(hbar, r0)
     if init is None:
         init = classical_seed(r0, hbar)
-    sol = march(init, hbar, r0, args.steps)
+    try:
+        sol = march(init, hbar, r0, args.steps)
+    except OverflowError:
+        raise UsageError(f"the stencil overflows binary64 at hbar = {hbar}, r0 = {r0}") from None
     fh = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.format == "json":
@@ -195,8 +214,12 @@ def _cmd_rep_check(args) -> int:
     if args.hbar <= 0:
         raise UsageError(f"--hbar must be positive, got {args.hbar}")
     hbar = _float("--hbar", args.hbar)
-    radius = radius_residual(args.two_j, hbar)
-    ch = ch_residual(args.two_j, hbar)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            radius = radius_residual(args.two_j, hbar)
+            ch = ch_residual(args.two_j, hbar)
+    except (OverflowError, FloatingPointError):
+        raise UsageError(f"--hbar {hbar} overflows the binary64 spin matrices") from None
     passed = radius < 1e-10 and ch < 1e-12
     if args.format == "json":
         print(

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scalars import HBAR, ONE, RHAT, Scalar, rational, solve2
-from .shifts import FuncCoeffs, FuncExpr
+from .shifts import FuncExpr
 from .u2 import AElement
-from .theta import d_x, d_y, d_z
+from .theta import d_radial_closed, d_tau_closed, d_x, d_y, d_z
 
 
 class HedgehogError(Exception):
@@ -66,7 +66,7 @@ _GEN_NAMES = {1: "x", 2: "y", 3: "z"}
 
 
 def _xgen(i: int) -> AElement:
-    return AElement.gen(_GEN_NAMES[i], FuncCoeffs)
+    return AElement.gen(_GEN_NAMES[i])
 
 
 def sym_product(u: AElement, v: AElement) -> AElement:
@@ -84,16 +84,16 @@ class GaugeField:
         self.components = dict(components)
 
     def component(self, mu: int, i: int) -> AElement:
-        return self.components.get((mu, i), AElement(FuncCoeffs))
+        return self.components.get((mu, i), AElement())
 
     @classmethod
     def hedgehog(cls) -> "GaugeField":
         """The ansatz A_mu^i = eps(mu, i, j) x_j W(rhat)."""
-        w = AElement.from_coeff(FuncExpr.symbol("W"), FuncCoeffs)
+        w = AElement.from_coeff(FuncExpr.symbol("W"))
         comps = {}
         for mu in (1, 2, 3):
             for i in (1, 2, 3):
-                acc = AElement(FuncCoeffs)
+                acc = AElement()
                 for j in (1, 2, 3):
                     s = eps(mu, i, j)
                     if s:
@@ -105,7 +105,7 @@ class GaugeField:
 
 def hedgehog_scalar():
     """The triplet phi^i = x_i F(rhat) of the ansatz."""
-    f = AElement.from_coeff(FuncExpr.symbol("F"), FuncCoeffs)
+    f = AElement.from_coeff(FuncExpr.symbol("F"))
     return {i: _xgen(i) * f for i in (1, 2, 3)}
 
 
@@ -165,24 +165,25 @@ def profile_equations():
     inv_r = ONE / RHAT
     r2h2 = RHAT**2 - HBAR**2
     e1 = (
-        -FuncCoeffs.d_radial(w).mul_scalar(inv_r)
+        -d_radial_closed(w).mul_scalar(inv_r)
         + w * w
-        - FuncCoeffs.d_radial(f).mul_scalar(inv_r)
+        - d_radial_closed(f).mul_scalar(inv_r)
         + f * w
     )
     e2 = (
-        FuncCoeffs.d_radial(w).mul_scalar(r2h2 * inv_r)
+        d_radial_closed(w).mul_scalar(r2h2 * inv_r)
         + w.mul_scalar(Scalar(2))
-        + FuncCoeffs.d_tau(w).mul_scalar(HBAR * 2)
+        + d_tau_closed(w).mul_scalar(HBAR * 2)
         - f
-        - FuncCoeffs.d_tau(f).mul_scalar(HBAR)
+        - d_tau_closed(f).mul_scalar(HBAR)
         - (f * w).mul_scalar(r2h2)
     )
     return e1, e2
 
 
 def _solve_span(res: AElement, e1: FuncExpr, e2: FuncExpr):
-    """Write res = u*E1 + v*E2 with scalar-coefficient AElements u, v.
+    """Write res = u*E1 + v*E2 with scalar-coefficient AElements u, v,
+    their coefficients lifted to FuncExpr like those of res.
 
     Central multipliers act coefficientwise on the monomial basis, so
     the problem splits per monomial into a 2-unknown linear solve over
@@ -190,7 +191,6 @@ def _solve_span(res: AElement, e1: FuncExpr, e2: FuncExpr):
     E1, E2 or the residual coordinate.  Raises ReductionError when a
     residual coordinate falls outside the span.
     """
-    ring = res.ring
     span_keys = set(e1.terms) | set(e2.terms)
     u = {}
     v = {}
@@ -203,10 +203,10 @@ def _solve_span(res: AElement, e1: FuncExpr, e2: FuncExpr):
             )
         um, vm = sol
         if um:
-            u[m] = ring.from_scalar(um)
+            u[m] = FuncExpr.from_scalar(um)
         if vm:
-            v[m] = ring.from_scalar(vm)
-    return AElement(ring, u), AElement(ring, v)
+            v[m] = FuncExpr.from_scalar(vm)
+    return AElement(u), AElement(v)
 
 
 _INDEX_PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -342,9 +342,12 @@ def _march(init, h, r0, n):
     W = np.empty(n + 1)
     F = np.empty(n + 1)
     W[0], F[0], W[1], F[1] = init
-    (a11, a12, *known1), (a21, a22, *known2) = _stencil(r0 + h * np.arange(1, n), h)
-    det = a11 * a22 - a12 * a21
-    small = np.flatnonzero(np.abs(det) < 1e-12)
+    # a coefficient that overflows binary64 (hbar near 0, r near the top of
+    # the range) leaves a det that is not finite, which counts as singular
+    with np.errstate(over="ignore", invalid="ignore"):
+        (a11, a12, *known1), (a21, a22, *known2) = _stencil(r0 + h * np.arange(1, n), h)
+        det = a11 * a22 - a12 * a21
+    small = np.flatnonzero(~np.isfinite(det) | (np.abs(det) < 1e-12))
     if small.size:
         k = int(small[0])
         return SingularStepError(

@@ -16,8 +16,8 @@ import random
 
 from .scalars import H, HBAR, I, ONE, RHAT, Scalar, TAU, rational
 from .glweyl import GlWeylElement, gl2
-from .u2 import AElement, CHError, ScalarCoeffs, quantum_radius_square
-from .shifts import FuncCoeffs, FuncExpr
+from .u2 import AElement, CHError, quantum_radius_square
+from .shifts import FuncExpr
 from . import theta as th
 from . import hedgehog as hh
 from . import spinreps as sr
@@ -32,6 +32,28 @@ def _entry(id_, description, engine, reference, match, note=""):
         "match": bool(match),
         "note": note,
     }
+
+
+def _sampled(id_, description, cases, holds):
+    """The summary entry of an identity checked on sampled cases, and the
+    failing cases as (index, case) pairs.
+
+    ``holds(*case)`` decides each case of ``cases`` in turn.  The entry
+    counts the cases that pass; on a failure its note names the first
+    failing case by index and value.
+    """
+    failed = []
+    n = 0
+    for case in cases:
+        if not holds(*case):
+            failed.append((n, case))
+        n += 1
+    note = ""
+    if failed:
+        k, case = failed[0]
+        note = f"first failing case {k}: " + "; ".join(map(str, case))
+    summary = _entry(id_, description, f"{n - len(failed)} passed", f"{n} passed", not failed, note)
+    return summary, failed
 
 
 # -- random central functions -------------------------------------------------
@@ -53,10 +75,10 @@ def random_central(rng: random.Random) -> Scalar:
     return num if den is None else num / den
 
 
-def random_monomial_element(rng: random.Random, ring=ScalarCoeffs, max_deg=4) -> AElement:
+def random_monomial_element(rng: random.Random, max_deg=4) -> AElement:
     """A degree <= max_deg monomial in x, y, z times a central function."""
-    gens = [AElement.gen(n, ring) for n in "xyz"]
-    t = AElement.from_scalar(random_central(rng), ring)
+    gens = [AElement.gen(n) for n in "xyz"]
+    t = AElement.from_scalar(random_central(rng))
     for _ in range(rng.randint(0, max_deg)):
         t = t * gens[rng.randrange(3)]
     return t
@@ -144,41 +166,30 @@ def suite_ch(seed=0):
 def suite_theta_mult(seed=0, pairs=200):
     """theta(ab) = theta(a) theta(b) on random pairs, exactly."""
     rng = random.Random(seed)
-    entries = []
-    bad = 0
-    for k in range(pairs):
-        a = random_monomial_element(rng)
-        b = random_monomial_element(rng)
-        if not th.theta_multiplicative(a, b):
-            bad += 1
-            entries.append(
-                _entry(f"theta-mult/{k}", "multiplicativity failed", f"a={a}; b={b}", "equal matrices", False)
-            )
-    entries.append(
-        _entry(
-            "theta-mult/summary",
-            f"{pairs} random pairs, exact matrix equality",
-            f"{pairs - bad} passed",
-            f"{pairs} passed",
-            bad == 0,
-        )
+    cases = ((random_monomial_element(rng), random_monomial_element(rng)) for _ in range(pairs))
+    summary, failed = _sampled(
+        "theta-mult/summary",
+        f"{pairs} random pairs, exact matrix equality",
+        cases,
+        th.theta_multiplicative,
     )
-    return entries
+    entries = [
+        _entry(f"theta-mult/{k}", "multiplicativity failed", f"a={a}; b={b}", "equal matrices", False)
+        for k, (a, b) in failed
+    ]
+    return entries + [summary]
 
 
 def suite_leibniz(seed=0, cases=20):
     """The two worked product rules, symbolically and on random functions."""
-    ring = FuncCoeffs
     f = FuncExpr.symbol("f")
-    fa = AElement.from_coeff(f, ring)
-    x = AElement.gen("x", ring)
-    y = AElement.gen("y", ring)
-    z = AElement.gen("z", ring)
+    fa = AElement.from_coeff(f)
+    x, y, z = (AElement.gen(n) for n in "xyz")
     inv_r = ONE / RHAT
-    drf = FuncCoeffs.d_radial(f).mul_scalar(inv_r)
-    dtf = FuncCoeffs.d_tau(f).mul_scalar(HBAR)
+    drf = th.d_radial_closed(f).mul_scalar(inv_r)
+    dtf = th.d_tau_closed(f).mul_scalar(HBAR)
     lhs1 = th.d_x(x * fa)
-    rhs1 = (x * x).mul_scalar(drf) + AElement.from_coeff(f + dtf, ring)
+    rhs1 = (x * x).mul_scalar(drf) + AElement.from_coeff(f + dtf)
     lhs2 = th.d_x(y * fa)
     rhs2 = (y * x + z.mul_scalar(I * HBAR)).mul_scalar(drf)
     entries = [
@@ -197,54 +208,39 @@ def suite_leibniz(seed=0, cases=20):
             lhs2 == rhs2,
         ),
     ]
+
+    def both_rules(g):
+        ga = AElement.from_scalar(g)
+        dg = th.d_radial_closed(g) * inv_r
+        rhs = (x * x).mul_scalar(dg) + AElement.from_scalar(g + th.d_tau_closed(g) * HBAR)
+        return th.d_x(x * ga) == rhs and (
+            th.d_x(y * ga) == (y * x + z.mul_scalar(I * HBAR)).mul_scalar(dg)
+        )
+
     rng = random.Random(seed)
-    bad = 0
-    sring = ScalarCoeffs
-    xs = AElement.gen("x", sring)
-    ys = AElement.gen("y", sring)
-    zs = AElement.gen("z", sring)
-    for _ in range(cases):
-        g = random_central(rng)
-        ga = AElement.from_scalar(g, sring)
-        dg = sring.d_radial(g) * inv_r
-        ok1 = th.d_x(xs * ga) == (xs * xs).mul_scalar(dg) + AElement.from_scalar(
-            g + sring.d_tau(g) * HBAR, sring
-        )
-        ok2 = th.d_x(ys * ga) == (ys * xs + zs.mul_scalar(I * HBAR)).mul_scalar(dg)
-        if not (ok1 and ok2):
-            bad += 1
-    entries.append(
-        _entry(
-            "leibniz/random",
-            f"both rules on {cases} random rational functions",
-            f"{cases - bad} passed",
-            f"{cases} passed",
-            bad == 0,
-        )
+    summary, _ = _sampled(
+        "leibniz/random",
+        f"both rules on {cases} random rational functions",
+        ((random_central(rng),) for _ in range(cases)),
+        both_rules,
     )
-    return entries
+    return entries + [summary]
 
 
 def suite_laplacian(seed=0, cases=50):
     """Radial Laplacian identity and the tau-shift bookkeeping."""
+
+    def radial(f):
+        return th.laplacian(AElement.from_scalar(f)) == AElement.from_scalar(th.laplacian_closed(f))
+
     rng = random.Random(seed)
-    entries = []
-    bad = 0
-    for _ in range(cases):
-        f = random_central(rng)
-        lhs = th.laplacian(AElement.from_scalar(f))
-        rhs = AElement.from_scalar(th.laplacian_closed(f))
-        if lhs != rhs:
-            bad += 1
-    entries.append(
-        _entry(
-            "laplacian/radial",
-            f"lap f = (1/rhat) d_r^2 (rhat f) on {cases} random f",
-            f"{cases - bad} passed",
-            f"{cases} passed",
-            bad == 0,
-        )
+    summary, _ = _sampled(
+        "laplacian/radial",
+        f"lap f = (1/rhat) d_r^2 (rhat f) on {cases} random f",
+        ((random_central(rng),) for _ in range(cases)),
+        radial,
     )
+    entries = [summary]
     f = TAU * RHAT
     comp = th.laplacian_closed(f)
     single = th.printed_laplacian_closed(f)
@@ -266,9 +262,10 @@ def suite_laplacian(seed=0, cases=50):
 def suite_hedgehog(seed=0):
     """The paper's closed multipliers, then all nine components in span(E1, E2)."""
     red = hh.hedgehog_reduce()
-    ring = FuncCoeffs
-    x, y, z = (AElement.gen(n, ring) for n in "xyz")
-    zsq = AElement.from_scalar(RHAT**2 - HBAR**2, ring) - x * x - y * y
+    # FuncExpr coefficients, as in the reduction, so that both sides print alike
+    one = FuncExpr.from_scalar(ONE)
+    x, y, z = (AElement.gen(n).mul_scalar(one) for n in "xyz")
+    zsq = AElement.from_coeff(FuncExpr.from_scalar(RHAT**2 - HBAR**2)) - x * x - y * y
     closed = (
         ("zx-factor", "(1,2,1) factors as sym(z,x) * E1", (1, 2, 1), hh.sym_product(z, x), 0),
         ("e2", "(1,2,3) reduces to E2 + z^2 E1", (1, 2, 3), zsq, 1),
@@ -276,13 +273,13 @@ def suite_hedgehog(seed=0):
     entries = []
     for name, claim, key, u0, v0 in closed:
         _, u, v = red.components[key]
-        v0 = AElement.from_scalar(Scalar(v0), ring)
+        v0 = AElement.from_coeff(FuncExpr.from_scalar(v0))
         engine, reference = f"u = {u}; v = {v}", f"u = {u0}; v = {v0}"
         entries.append(
             _entry(f"hedgehog/{name}", f"component {claim}", engine, reference, u == u0 and v == v0)
         )
-    e1 = AElement.from_coeff(red.e1, ring)
-    e2 = AElement.from_coeff(red.e2, ring)
+    e1 = AElement.from_coeff(red.e1)
+    e2 = AElement.from_coeff(red.e2)
     for (mu, nu, i), (res, u, v) in sorted(red.components.items()):
         combo = u * e1 + v * e2
         entries.append(

@@ -15,10 +15,11 @@ factors.  The identifiers t, x, y, z, tau, rhat, hbar and i are built
 in; any other identifier names an opaque central profile function, and
 may be applied to shifted arguments as in ``W(tau+2*hbar, rhat-hbar)``.
 
-Expressions evaluate to canonical elements of A_h over the profile
-coefficient ring, so the printer's output parses back to itself within
-the degree bound.  Each '+'/'-' or '*'/'/' run parses to one flat chain
-node, evaluated in a loop, so a long sum costs no recursion per term.
+Expressions evaluate to canonical elements of A_h whose coefficients
+are all FuncExpr (every leaf is lifted), so the printer's output parses
+back to itself within the degree bound.  Each '+'/'-' or '*'/'/' run
+parses to one flat chain node, evaluated in a loop, so a long sum costs
+no recursion per term.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import HBAR, I, ONE, RHAT, Scalar, TAU
-from .shifts import FuncCoeffs, FuncExpr
+from .shifts import FuncExpr
 from .u2 import AElement
 
 
@@ -231,33 +232,33 @@ def parse(text: str):
 _BUILTINS = {"t", "x", "y", "z", "tau", "rhat", "hbar", "i"}
 
 
-def _eval(node, ring):
+# the central leaves, as FuncExpr coefficients
+_CENTRAL = {"t": I * TAU, "tau": TAU, "rhat": RHAT, "hbar": HBAR, "i": I}
+
+
+def _lifted(s: Scalar) -> AElement:
+    return AElement.from_coeff(FuncExpr.from_scalar(s))
+
+
+def _eval(node):
     op = node[0]
     if op == "num":
-        return AElement.from_scalar(Scalar(node[1]), ring)
+        return _lifted(Scalar(node[1]))
     if op == "sym":
         name = node[1]
         if name in ("x", "y", "z"):
-            return AElement.gen(name, ring)
-        if name == "t":
-            return AElement.from_scalar(I * TAU, ring)
-        if name == "tau":
-            return AElement.from_scalar(TAU, ring)
-        if name == "rhat":
-            return AElement.from_scalar(RHAT, ring)
-        if name == "hbar":
-            return AElement.from_scalar(HBAR, ring)
-        if name == "i":
-            return AElement.from_scalar(I, ring)
-        return AElement.from_coeff(FuncExpr.symbol(name), ring)
+            return AElement.gen(name).mul_scalar(FuncExpr.from_scalar(ONE))
+        if name in _CENTRAL:
+            return _lifted(_CENTRAL[name])
+        return AElement.from_coeff(FuncExpr.symbol(name))
     if op == "app":
-        return AElement.from_coeff(FuncExpr.symbol(node[1], node[2], node[3]), ring)
+        return AElement.from_coeff(FuncExpr.symbol(node[1], node[2], node[3]))
     if op == "neg":
-        return -_eval(node[1], ring)
+        return -_eval(node[1])
     if op == "chain":
-        acc = _eval(node[1], ring)
+        acc = _eval(node[1])
         for link, sub, pos in node[2]:
-            val = _eval(sub, ring)
+            val = _eval(sub)
             if link == "+":
                 acc = acc + val
             elif link == "-":
@@ -271,8 +272,8 @@ def _eval(node, ring):
                 acc = acc.mul_scalar(den.inv())
         return acc
     if op == "pow":
-        out = AElement.from_scalar(ONE, ring)
-        base = _eval(node[1], ring)
+        out = _lifted(ONE)
+        base = _eval(node[1])
         for _ in range(node[2]):
             out = out * base
         return out
@@ -290,6 +291,6 @@ def _central_scalar_or_none(e: AElement):
     return c
 
 
-def evaluate(text: str, ring=FuncCoeffs) -> AElement:
+def evaluate(text: str) -> AElement:
     """Parse and reduce to a canonical element of A_h."""
-    return _eval(parse(text), ring)
+    return _eval(parse(text))

@@ -12,15 +12,15 @@ they all live in the centre of A_h.  The closed difference formulas act
 on such expressions atomically, shifting every argument in sight, which
 is exactly how the QPD acts on an arbitrary central function.
 
-:class:`FuncCoeffs` packages this as a coefficient ring so the whole
-theta machinery runs unchanged over unknown profiles.
+A FuncExpr adds, multiplies (by another FuncExpr or by a Scalar) and
+shifts its arguments as a Scalar does, so an AElement with FuncExpr
+coefficients runs through the whole theta machinery unchanged.
 """
 
 from __future__ import annotations
 
 from .scalars import ONE, Scalar, ZERO
 from .sparse import NUMBERS, SparseSum, accumulate
-from .u2 import CoeffRing
 
 
 def atom(name: str, p: int = 0, q: int = 0):
@@ -158,13 +158,3 @@ class FuncExpr(SparseSum):
             tot += v
         return tot
 
-
-class FuncCoeffs(CoeffRing):
-    """Coefficient ring of central functions with unknown profiles."""
-
-    zero = FuncExpr()
-    one = FuncExpr.from_scalar(ONE)
-
-    @staticmethod
-    def from_scalar(s):
-        return FuncExpr.from_scalar(s)

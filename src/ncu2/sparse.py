@@ -8,7 +8,8 @@ dict, so no stored coefficient is ever zero.  :class:`SparseSum`
 supplies the linear structure and the printed form; a subclass supplies
 its products and three hooks:
 
-* ``_like()`` -- an empty element of the same kind (same ring, same m);
+* ``_like()`` -- an empty element of the same kind (same m for the
+  quantum double);
 * ``_coerce(other)`` -- ``other`` as an element of the same kind, or
   None when it is not one;
 * ``_key_str(key)`` -- the printed basis key, "" for the unit.
@@ -93,7 +94,7 @@ class SparseSum:
         return self + (-other)
 
     def mul_scalar(self, c):
-        """Every coefficient times ``c`` (a number or a ring coefficient),
+        """Every coefficient times ``c`` (a number, a Scalar or a FuncExpr),
         in term order: ``hedgehog._stencil`` adds up floats in that order."""
         if isinstance(c, (int, Fraction)):
             c = Scalar(c)

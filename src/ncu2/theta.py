@@ -14,17 +14,20 @@ parts diag, off of a coefficient c (``theta_parts``),
 
     theta(c*m) = diag theta(m) + off X theta(m),
 
-where theta(m) and X theta(m) of a bare monomial m are cached per ring.
-Every individual derivative is read back from a matrix entry.  The
-compositional route is the ground truth for the radial derivative, the
-Laplacian and the operator Q = x d_x + y d_y + z d_z; the printed
-closed forms are kept alongside for comparison.
+where theta(m) and X theta(m) of a bare monomial m are cached once, with
+Scalar coefficients, for elements of either coefficient type.  The
+closed formulas use only ``shift_args``, ``+`` and ``*``, so c may be a
+Scalar or a FuncExpr.  Every individual derivative is read back from a
+matrix entry.  The compositional route is the ground truth for the
+radial derivative, the Laplacian and the operator
+Q = x d_x + y d_y + z d_z; the printed closed forms are kept alongside
+for comparison.
 """
 
 from __future__ import annotations
 
 from .scalars import HBAR, I, ONE, RHAT, Scalar
-from .u2 import AElement, ScalarCoeffs, sum_of_products
+from .u2 import AElement, sum_of_products
 
 _IH = I * HBAR
 _INV_IH = ONE / _IH
@@ -39,19 +42,27 @@ _E = {
 }
 
 
-# product table of the pattern matrices (quaternion units):
-# E_g E_h = sign * E_k, with index 0 standing for the identity
-_QTAB = {
-    (1, 1): (-1, 0),
-    (1, 2): (1, 3),
-    (1, 3): (-1, 2),
-    (2, 1): (-1, 3),
-    (2, 2): (-1, 0),
-    (2, 3): (1, 1),
-    (3, 1): (1, 2),
-    (3, 2): (-1, 1),
-    (3, 3): (-1, 0),
-}
+def _quaternion_table():
+    """{(g, h): (sign, k)} with E_g E_h = sign * E_k for g, h in 1..3,
+    index 0 standing for the identity: 4x4 integer products of ``_E``."""
+    units = [tuple(tuple(int(i == j) for j in range(4)) for i in range(4))]
+    units += [_E[n] for n in "xyz"]
+    signed = {
+        tuple(tuple(s * v for v in row) for row in u): (s, k)
+        for k, u in enumerate(units)
+        for s in (1, -1)
+    }
+    table = {}
+    for g, a in enumerate(units[1:], start=1):
+        for h, b in enumerate(units[1:], start=1):
+            p = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+            if p not in signed:
+                raise ValueError(f"E_{g} E_{h} is not +-I or +-E_k: check the _E patterns")
+            table[g, h] = signed[p]
+    return table
+
+
+_QTAB = _quaternion_table()
 
 
 class ThetaMatrix:
@@ -63,27 +74,27 @@ class ThetaMatrix:
     ``@`` composes through the component table.
     """
 
-    __slots__ = ("ring", "comps")
+    __slots__ = ("comps",)
 
-    def __init__(self, ring, comps):
-        self.ring = ring
+    # read by perfbench/selftest.py's _corrupt, which calls
+    # ThetaMatrix.identity(reference.ring); nothing in ncu2 reads either
+    ring = None
+
+    def __init__(self, comps):
         self.comps = tuple(comps)
 
     @classmethod
-    def zero(cls, ring):
-        z = AElement(ring)
-        return cls(ring, (z, z, z, z))
+    def zero(cls):
+        z = AElement()
+        return cls((z, z, z, z))
 
     @classmethod
-    def identity(cls, ring):
-        one = AElement.from_coeff(ring.one, ring)
-        z = AElement(ring)
-        return cls(ring, (one, z, z, z))
+    def identity(cls, _ignored=None):
+        z = AElement()
+        return cls((AElement.from_scalar(ONE), z, z, z))
 
     def __add__(self, other):
-        return ThetaMatrix(
-            self.ring, [a + b for a, b in zip(self.comps, other.comps)]
-        )
+        return ThetaMatrix([a + b for a, b in zip(self.comps, other.comps)])
 
     def __matmul__(self, other):
         # component k collects sign * a[g] * b[h] over E_g E_h = sign * E_k
@@ -94,7 +105,7 @@ class ThetaMatrix:
             for h in range(1, 4):
                 sign, k = _QTAB[g, h]
                 pairs[k].append((sign, a[g], b[h]))
-        return ThetaMatrix(self.ring, [sum_of_products(self.ring, p) for p in pairs])
+        return ThetaMatrix([sum_of_products(p) for p in pairs])
 
     def __eq__(self, other):
         # I, E_x, E_y, E_z are linearly independent over A_h, so
@@ -107,7 +118,7 @@ class ThetaMatrix:
         """The dense 4x4 matrix as a nested list of AElements."""
         c0, cx, cy, cz = self.comps
         rows = [[c0 if i == j else None for j in range(4)] for i in range(4)]
-        z = AElement(self.ring)
+        z = AElement()
         for c, name in ((cx, "x"), (cy, "y"), (cz, "z")):
             pat = _E[name]
             for i in range(4):
@@ -126,57 +137,82 @@ class ThetaMatrix:
     __repr__ = __str__
 
 
-# theta of the generators, and (theta(m), X @ theta(m)) of bare monomials
-# m, keyed by (ring, key)
+# -- closed forms on the centre, for a Scalar or a FuncExpr c ---------------
+#
+# The d_tau multipliers are (rhat +/- hbar), which is forced by
+# d_tau(tau) = 1 and d_tau(rhat) = hbar/rhat.
+
+_INV_2H = ONE / (HBAR * 2)
+_INV_2RH = ONE / (RHAT * HBAR * 2)
+_INV_2R = ONE / (RHAT * 2)
+_I_2R = I / (RHAT * 2)
+
+
+def d_radial_closed(c):
+    """[c(tau+h, rhat+h) - c(tau+h, rhat-h)] / (2*hbar)."""
+    return (c.shift_args(1, 1) - c.shift_args(1, -1)) * _INV_2H
+
+
+def d_tau_closed(c):
+    """Difference formula for d_tau with radial multipliers (rhat +/- hbar)."""
+    return (
+        c.shift_args(1, 1) * (RHAT + HBAR)
+        + c.shift_args(1, -1) * (RHAT - HBAR)
+        - c * (RHAT * 2)
+    ) * _INV_2RH
+
+
+def theta_parts(c):
+    """(c + hbar d_tau c, (i hbar / rhat) d_radial c) with shared shifts."""
+    sp = c.shift_args(1, 1)
+    sm = c.shift_args(1, -1)
+    diag = (sp * (RHAT + HBAR) + sm * (RHAT - HBAR)) * _INV_2R
+    off = (sp - sm) * _I_2R
+    return diag, off
+
+
+# -- theta ---------------------------------------------------------------------
+
+_ZERO = AElement()
+_IH_ELEMENT = AElement.from_scalar(_IH)
+# theta(x), theta(y), theta(z), and X = x E_x + y E_y + z E_z
+_GENS = {
+    name: ThetaMatrix(
+        [AElement.gen(name)] + [_IH_ELEMENT if j == k else _ZERO for j in (1, 2, 3)]
+    )
+    for k, name in enumerate("xyz", start=1)
+}
+_XMAT = ThetaMatrix([_ZERO] + [AElement.gen(n) for n in "xyz"])
+
+# (theta(m), X @ theta(m)) of bare monomials m, with Scalar coefficients
 _CACHE = {}
 
 
-def _gen_matrices(ring):
-    """theta(x), theta(y), theta(z) over the given coefficient ring."""
+def _theta_mono(mono):
+    """(theta(m), X @ theta(m)) of a bare monomial m = x^p y^q z^e; cached."""
     try:
-        return _CACHE[ring, "gens"]
+        return _CACHE[mono]
     except KeyError:
         pass
-    ih = AElement(ring, {(0, 0, 0): ring.from_scalar(_IH)})
-    z = AElement(ring)
-    mats = {}
-    for k, name in enumerate(("x", "y", "z"), start=1):
-        comps = [AElement.gen(name, ring), z, z, z]
-        comps[k] = ih
-        mats[name] = ThetaMatrix(ring, comps)
-    _CACHE[ring, "gens"] = mats
-    return mats
-
-
-def _theta_mono(mono, ring):
-    """(theta(m), X @ theta(m)) of a bare monomial m = x^p y^q z^e, with
-    X = x E_x + y E_y + z E_z; cached per ring."""
-    try:
-        return _CACHE[ring, mono]
-    except KeyError:
-        pass
-    gens = _gen_matrices(ring)
-    term = ThetaMatrix.identity(ring)
+    term = ThetaMatrix.identity()
     for name, k in zip("xyz", mono):
         for _ in range(k):
-            term = term @ gens[name]
-    X = ThetaMatrix(ring, [AElement(ring)] + [AElement.gen(n, ring) for n in "xyz"])
-    _CACHE[ring, mono] = pair = (term, X @ term)
+            term = term @ _GENS[name]
+    _CACHE[mono] = pair = (term, _XMAT @ term)
     return pair
 
 
 def theta(a: AElement) -> ThetaMatrix:
     """The multiplicative matrix of an element of A_h: each component is
     one sum of products, diag theta(m) + off X theta(m) over the terms c*m."""
-    ring = a.ring
     pairs = ([], [], [], [])
     for mono, c in a.terms.items():
-        th, xth = _theta_mono(mono, ring)
-        diag, off = (AElement(ring, {(0, 0, 0): p}) for p in ring.theta_parts(c))
+        th, xth = _theta_mono(mono)
+        diag, off = (AElement.from_coeff(p) for p in theta_parts(c))
         for k in range(4):
             pairs[k].append((1, diag, th.comps[k]))
             pairs[k].append((1, off, xth.comps[k]))
-    return ThetaMatrix(ring, [sum_of_products(ring, p) for p in pairs])
+    return ThetaMatrix([sum_of_products(p) for p in pairs])
 
 
 # -- named derivatives ------------------------------------------------------
@@ -206,10 +242,9 @@ def d_tau(a: AElement) -> AElement:
 def q_op(a: AElement) -> AElement:
     """Q = x d_x + y d_y + z d_z, all three read from one theta(a)."""
     th = theta(a)
-    ring = a.ring
-    out = AElement(ring)
+    out = AElement()
     for k, name in enumerate("xyz", start=1):
-        out = out + AElement.gen(name, ring) * th.comps[k].mul_scalar(_INV_IH)
+        out = out + AElement.gen(name) * th.comps[k].mul_scalar(_INV_IH)
     return out
 
 
@@ -220,7 +255,7 @@ def radial_extend(a: AElement) -> AElement:
 
 def laplacian(a: AElement) -> AElement:
     """Quantum Laplacian d_x^2 + d_y^2 + d_z^2, compositionally."""
-    out = AElement(a.ring)
+    out = AElement()
     for dfun in (d_x, d_y, d_z):
         out = out + dfun(dfun(a))
     return out
@@ -247,17 +282,7 @@ def derive(op: str, a: AElement) -> AElement:
     return f(a)
 
 
-# -- closed forms on the centre ---------------------------------------------
-
-
-def d_radial_closed(f: Scalar) -> Scalar:
-    """[f(tau+h, rhat+h) - f(tau+h, rhat-h)] / (2*hbar)."""
-    return ScalarCoeffs.d_radial(f)
-
-
-def d_tau_closed(f: Scalar) -> Scalar:
-    """Difference formula for d_tau with radial multipliers (rhat +/- hbar)."""
-    return ScalarCoeffs.d_tau(f)
+# -- closed Laplacians -----------------------------------------------------
 
 
 def laplacian_closed(f: Scalar) -> Scalar:

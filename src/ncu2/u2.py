@@ -11,27 +11,23 @@ Two element types live here:
   z^2 -> rhat^2 - hbar^2 - x^2 - y^2 is applied on sight, and t is
   absorbed into the central coefficients via t = i*tau.
 
-AElement coefficients are generic: plain central functions (Scalar) or
-polynomials in opaque shifted profile symbols (FuncExpr).  A coefficient
-ring is a class with ``zero``, ``one`` and ``from_scalar`` (the image of
-a Scalar in the ring); it inherits the closed difference formulas
-``d_tau``, ``d_radial`` and ``theta_parts`` from :class:`CoeffRing`, and
-the two hooks of :func:`sum_of_products`, the one AElement product loop:
-``product_parts(a, b)``, called once per pair of terms, and
-``sum_parts(items)``, called once per output coefficient on its
-``(sign, part, structure constant)`` items.  The default is ``a * b``
-and a fold; :class:`ScalarCoeffs` defers cancellation to the sum, so
-each output coefficient is reduced once.
-Ring elements add, negate, test for zero with ``bool``, multiply with
-``*`` (by each other and by a Scalar) and shift their arguments with
-``shift_args``.  Both element types scale through the one
-``SparseSum.mul_scalar`` (an AElement also by a ring element), and put
-words in PBW order through ``sparse.normal_order`` with the pair rule
-``_swap``.
+AElement coefficients are plain central functions (Scalar) or
+polynomials in opaque shifted profile symbols (FuncExpr); a
+coefficient's own type decides its arithmetic.  Both add, negate, test
+for zero with ``bool``, multiply with ``*`` (a Scalar times a FuncExpr
+through ``FuncExpr.__rmul__``) and shift their arguments with
+``shift_args``.  :func:`sum_of_products` is the one AElement product
+loop: when every coefficient it sees is a Scalar it defers cancellation
+to the sum (``scalars.product_parts``/``sum_parts``), so each output
+coefficient is reduced once; otherwise it multiplies with ``*`` and
+folds.  Both element types scale through the one
+``SparseSum.mul_scalar``, and put words in PBW order through
+``sparse.normal_order`` with the pair rule ``_swap``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -175,92 +171,45 @@ class CompactElement(SparseSum):
         return True
 
 
-# -- coefficient rings -------------------------------------------------------
-
-_INV_2H = ONE / (HBAR * 2)
-_INV_2RH = ONE / (RHAT * HBAR * 2)
-_INV_2R = ONE / (RHAT * 2)
-_I_2R = I / (RHAT * 2)
+# -- the AElement product loop ------------------------------------------------
 
 
-class CoeffRing:
-    """Closed difference formulas for the QPD on the centre, over any ring.
-
-    The d_tau multipliers are (rhat +/- hbar), which is forced by
-    d_tau(tau) = 1 and d_tau(rhat) = hbar/rhat.
-    """
-
-    @staticmethod
-    def d_tau(c):
-        return (
-            c.shift_args(1, 1) * (RHAT + HBAR)
-            + c.shift_args(1, -1) * (RHAT - HBAR)
-            - c * (RHAT * 2)
-        ) * _INV_2RH
-
-    @staticmethod
-    def d_radial(c):
-        return (c.shift_args(1, 1) - c.shift_args(1, -1)) * _INV_2H
-
-    @staticmethod
-    def theta_parts(c):
-        """(c + hbar d_tau c, (i hbar / rhat) d_radial c) with shared shifts."""
-        sp = c.shift_args(1, 1)
-        sm = c.shift_args(1, -1)
-        diag = (sp * (RHAT + HBAR) + sm * (RHAT - HBAR)) * _INV_2R
-        off = (sp - sm) * _I_2R
-        return diag, off
-
-    @staticmethod
-    def product_parts(a, b):
-        """A product in the form :meth:`sum_parts` takes; here ``a * b``."""
-        return a * b
-
-    @classmethod
-    def sum_parts(cls, items):
-        """The sum of ``sign * part * s`` over ``(sign, part, s)`` items,
-        ``s`` a Scalar structure constant; here a fold in item order."""
-        out = {}
-        for sign, p, s in items:
-            if s is not ONE:
-                p = p * s
-            accumulate(out, None, p if sign > 0 else -p)
-        return out.get(None, cls.zero)
+def _fold(items):
+    """The sum of ``sign * part * s`` over ``(sign, part, s)`` items, ``s``
+    a Scalar structure constant, added up in item order."""
+    out = {}
+    for sign, p, s in items:
+        if s is not ONE:
+            p = p * s
+        accumulate(out, None, p if sign > 0 else -p)
+    return out.get(None, ZERO)
 
 
-class ScalarCoeffs(CoeffRing):
-    """Coefficient ring of plain central functions f(tau, rhat); a sum of
-    products is reduced once per output coefficient."""
-
-    zero = ZERO
-    one = ONE
-    product_parts = staticmethod(product_parts)
-    sum_parts = staticmethod(sum_parts)
-
-    @staticmethod
-    def from_scalar(s: Scalar) -> Scalar:
-        return s
-
-
-def sum_of_products(ring, pairs):
+def sum_of_products(pairs):
     """The AElement sum of ``sign * x * y`` over ``(sign, x, y)`` pairs of
-    AElements over ``ring``: the one AElement product loop.
+    AElements: the one AElement product loop.
 
-    Each pair of terms becomes one ``ring.product_parts``; the parts are
+    Each pair of terms becomes one coefficient product; the products are
     gathered per output monomial with their structure constants, and
-    each output coefficient is summed once by ``ring.sum_parts``.
+    each output coefficient is summed once.  When every coefficient in
+    the pairs is a Scalar, the product is ``scalars.product_parts`` and
+    the sum ``scalars.sum_parts``, which reduces once; otherwise ``*``
+    and a fold.
     """
-    parts = ring.product_parts
+    exact = all(
+        type(c) is Scalar for _, x, y in pairs for e in (x, y) for c in e.terms.values()
+    )
+    mul, total = (product_parts, sum_parts) if exact else (operator.mul, _fold)
     buckets = {}
     for sign, x, y in pairs:
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                p = parts(c1, c2)
+                p = mul(c1, c2)
                 for m, s in _amono_mul(m1, m2):
                     buckets.setdefault(m, []).append((sign, p, s))
-    out = AElement(ring)
+    out = AElement()
     for m, items in buckets.items():
-        c = ring.sum_parts(items)
+        c = total(items)
         if c:
             out.terms[m] = c
     return out
@@ -269,36 +218,32 @@ def sum_of_products(ring, pairs):
 class AElement(SparseSum):
     """Canonical element of A_h on the basis x^a y^b z^e, e <= 1."""
 
-    __slots__ = ("ring",)
+    __slots__ = ()
 
-    def __init__(self, ring, terms=None):
-        self.ring = ring
+    def __init__(self, terms=None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
-    def from_scalar(cls, s, ring=ScalarCoeffs):
-        s = s if isinstance(s, Scalar) else Scalar(s)
-        return cls(ring, {(0, 0, 0): ring.from_scalar(s)})
+    def from_scalar(cls, s):
+        return cls({(0, 0, 0): s if isinstance(s, Scalar) else Scalar(s)})
 
     @classmethod
-    def from_coeff(cls, c, ring=ScalarCoeffs):
-        return cls(ring, {(0, 0, 0): c})
+    def from_coeff(cls, c):
+        return cls({(0, 0, 0): c})
 
     @classmethod
-    def gen(cls, name: str, ring=ScalarCoeffs):
+    def gen(cls, name: str):
         m = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[name]
-        return cls(ring, {m: ring.one})
+        return cls({m: ONE})
 
     def _like(self):
-        return AElement(self.ring)
+        return AElement()
 
     def _coerce(self, other):
         if isinstance(other, AElement):
-            if other.ring is not self.ring:
-                raise ValueError("mixed coefficient rings")
             return other
         if isinstance(other, NUMBERS):
-            return AElement.from_scalar(other, self.ring)
+            return AElement.from_scalar(other)
         return None
 
     def _key_str(self, m):
@@ -313,16 +258,16 @@ class AElement(SparseSum):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return sum_of_products(self.ring, ((1, self, other),))
+        return sum_of_products(((1, self, other),))
 
     def is_central(self) -> bool:
         return all(m == (0, 0, 0) for m in self.terms)
 
     def central_part(self):
-        return self.terms.get((0, 0, 0), self.ring.zero)
+        return self.terms.get((0, 0, 0), ZERO)
 
     def coefficient(self, m):
-        return self.terms.get(m, self.ring.zero)
+        return self.terms.get(m, ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +276,7 @@ class AElement(SparseSum):
 _IT = I * TAU  # image of the generator t in the coefficient field
 
 
-def reduce_casimir(e, ring=ScalarCoeffs) -> AElement:
+def reduce_casimir(e) -> AElement:
     """Map a CompactElement (or AElement) onto the reduced A_h basis.
 
     t is sent to i*tau in the centre; z-powers >= 2 are eliminated by
@@ -339,11 +284,11 @@ def reduce_casimir(e, ring=ScalarCoeffs) -> AElement:
     """
     if isinstance(e, AElement):
         return e
-    out = AElement(ring)
+    out = AElement()
     for (d, a, b, c), coeff in e.terms.items():
         base = coeff * _IT**d if d else coeff
         for m, s in _zreduce(a, b, c):
-            accumulate(out.terms, m, ring.from_scalar(base * s))
+            accumulate(out.terms, m, base * s)
     return out
 
 

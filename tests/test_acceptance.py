@@ -27,10 +27,9 @@ from ncu2.hedgehog import (
 )
 from ncu2.identities import random_central, run_suite
 from ncu2.scalars import H, HBAR, I, ONE, RHAT, Scalar, rational
-from ncu2.shifts import FuncCoeffs
 from ncu2.spinreps import ch_residual, radius_residual
 from ncu2.theta import d_radial_closed, d_t, d_tau, d_x, d_y, d_z, theta
-from ncu2.u2 import AElement, ScalarCoeffs
+from ncu2.u2 import AElement
 
 
 def _report(name, ok):
@@ -138,10 +137,10 @@ def test_08_q_operator():
 def test_09_hedgehog_reduction():
     entries, passed = run_suite("hedgehog")
     red = hedgehog_reduce()
-    x = AElement.gen("x", FuncCoeffs)
-    z = AElement.gen("z", FuncCoeffs)
-    e1 = AElement.from_coeff(red.e1, FuncCoeffs)
-    e2 = AElement.from_coeff(red.e2, FuncCoeffs)
+    x = AElement.gen("x")
+    z = AElement.gen("z")
+    e1 = AElement.from_coeff(red.e1)
+    e2 = AElement.from_coeff(red.e2)
     res121, u121, v121 = red.components[1, 2, 1]
     factor_ok = u121 == sym_product(z, x) and not v121 and res121 == u121 * e1
     keys_ok = set(red.components) == {

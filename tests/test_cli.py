@@ -278,3 +278,24 @@ def test_rational_flags_outside_binary64_are_usage_errors(argv, message, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+def test_solve_hedgehog_unreadable_init_is_usage_error(case, tmp_path, capsys):
+    path = {"missing": tmp_path / "none.txt", "directory": tmp_path, "not utf-8": tmp_path / "init.txt"}[case]
+    if case == "not utf-8":
+        path.write_bytes(b"0 0 0 \xe9\n")
+    rc = main(["solve-hedgehog", "--hbar", "1/16", "--r0", "1", "--steps", "4", "--init", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ncu2: cannot read init file: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_solve_hedgehog_unwritable_output_is_an_error(tmp_path, capsys):
+    # the input is fine; writing the result fails, which is not a usage error
+    argv = ["solve-hedgehog", "--hbar", "1/16", "--r0", "1", "--steps", "4", "--init", "classical"]
+    assert main(argv + ["--output", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ncu2: ") and captured.err.count("\n") == 1

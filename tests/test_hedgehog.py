@@ -28,7 +28,7 @@ from ncu2.hedgehog import (
     sym_product,
 )
 from ncu2.scalars import HBAR, I, ONE, RHAT
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.shifts import FuncExpr
 from ncu2.u2 import AElement
 
 
@@ -40,11 +40,11 @@ def test_epsilon_symbol():
 
 
 def test_sym_product_is_symmetric():
-    x = AElement.gen("x", FuncCoeffs)
-    z = AElement.gen("z", FuncCoeffs)
+    x = AElement.gen("x")
+    z = AElement.gen("z")
     assert sym_product(z, x) == sym_product(x, z)
     # sym(z, x) = zx - i hbar y in the ordered basis
-    y = AElement.gen("y", FuncCoeffs)
+    y = AElement.gen("y")
     assert sym_product(z, x) == x * z + y.mul_scalar(I * HBAR)
 
 
@@ -60,9 +60,9 @@ def test_reduction_certificate():
     red = hedgehog_reduce()
     e1, e2 = profile_equations()
     assert red.e1 == e1 and red.e2 == e2
-    e1a = AElement.from_coeff(e1, FuncCoeffs)
-    e2a = AElement.from_coeff(e2, FuncCoeffs)
-    x, y, z = (AElement.gen(n, FuncCoeffs) for n in "xyz")
+    e1a = AElement.from_coeff(e1)
+    e2a = AElement.from_coeff(e2)
+    x, y, z = (AElement.gen(n) for n in "xyz")
     assert set(red.components) == {
         (mu, nu, i) for mu, nu in ((1, 2), (1, 3), (2, 3)) for i in (1, 2, 3)
     }
@@ -72,9 +72,9 @@ def test_reduction_certificate():
     zx = sym_product(z, x)
     assert res121 == zx * e1a and u == zx and not v
     res123, u, v = red.components[1, 2, 3]
-    zsq = AElement.from_scalar(RHAT**2 - HBAR**2, FuncCoeffs) - x * x - y * y
+    zsq = AElement.from_scalar(RHAT**2 - HBAR**2) - x * x - y * y
     assert res123 == e2a + zsq * e1a
-    assert u == zsq and v == AElement.from_scalar(ONE, FuncCoeffs)
+    assert u == zsq and v == AElement.from_scalar(ONE)
     # every component is certified inside span(E1, E2)
     for res, u, v in red.components.values():
         assert res and res == u * e1a + v * e2a

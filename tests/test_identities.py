@@ -9,17 +9,20 @@ wrong outlives the test.
 
 import pytest
 
-from ncu2 import hedgehog, u2
+import random
+
+from ncu2 import hedgehog, theta, u2
 from ncu2.cli import main
-from ncu2.identities import run_suite
-from ncu2.scalars import HBAR
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.identities import random_central, run_suite
+from ncu2.scalars import HBAR, ONE
+from ncu2.shifts import FuncExpr
+from ncu2.theta import d_tau_closed
 
 
 def _halve_e2_d_tau_w(monkeypatch):
     e1, e2 = hedgehog.profile_equations()
     # E2 holds 2 hbar d_tau W; take hbar d_tau W away
-    wrong = e2 - FuncCoeffs.d_tau(FuncExpr.symbol("W")).mul_scalar(HBAR)
+    wrong = e2 - d_tau_closed(FuncExpr.symbol("W")).mul_scalar(HBAR)
     monkeypatch.setattr(hedgehog, "profile_equations", lambda: (e1, wrong))
 
 
@@ -58,3 +61,19 @@ def test_ledger_entries_are_computed():
         assert e["engine"] == e["reference"]
     rhat2 = next(e for e in run_suite("ch")[0] if e["id"] == "ch/rhat2")
     assert rhat2["match"] and rhat2["engine"] == rhat2["reference"] == "(rhat^2)"
+
+
+def test_a_sampled_identity_names_its_first_failing_case(monkeypatch, capsys):
+    # the closed Laplacian goes wrong on the functions that contain tau
+    right = theta.laplacian_closed
+    monkeypatch.setattr(theta, "laplacian_closed", lambda f: right(f) + ONE if "tau" in str(f) else right(f))
+    rng = random.Random(0)
+    draws = [random_central(rng) for _ in range(50)]
+    bad = [k for k, f in enumerate(draws) if "tau" in str(f)]
+    assert 0 < bad[0] and len(bad) < 50
+    radial = next(e for e in run_suite("laplacian")[0] if e["id"] == "laplacian/radial")
+    assert not radial["match"]
+    assert radial["engine"] == f"{50 - len(bad)} passed" and radial["reference"] == "50 passed"
+    assert radial["note"] == f"first failing case {bad[0]}: {draws[bad[0]]}"
+    assert main(["verify", "--suite", "laplacian"]) == 1
+    assert f"[first failing case {bad[0]}: " in capsys.readouterr().out

@@ -1,7 +1,7 @@
 """The one normal-ordering engine: ordered output and associative products.
 
 Every noncommutative product in the package -- CompactElement, AElement
-over either coefficient ring, GlWeylElement -- puts its words in order
+with either coefficient type, GlWeylElement -- puts its words in order
 through ``sparse.normal_order`` with its own pair rule.  A wrong
 relation in a rule shows up as a product that is not associative.
 """
@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from ncu2 import glweyl, u2
 from ncu2.glweyl import D_KIND, GlWeylElement, dsym, lsym
-from ncu2.scalars import HBAR, ONE, RHAT, TAU, rational
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.scalars import HBAR, ONE, RHAT, Scalar, TAU, rational
+from ncu2.shifts import FuncExpr
 from ncu2.sparse import normal_order
-from ncu2.u2 import AElement, CompactElement, ScalarCoeffs
+from ncu2.u2 import AElement, CompactElement
 
 _COMPACT = [CompactElement.gen(n) for n in "txyz"]
 _GL = [
@@ -28,20 +28,20 @@ _GL = [
 _SCALARS = (TAU, RHAT, HBAR, rational(-3, 2))
 
 
-def _a_letters(ring):
-    letters = [AElement.gen(n, ring) for n in "xyz"]
-    if ring is FuncCoeffs:
-        letters.append(AElement.from_coeff(FuncExpr.symbol("W", 1, -1), ring))
-    else:
-        letters.append(AElement.from_scalar(RHAT, ring))
-    return letters
+def _a_letters(coeff):
+    if coeff is FuncExpr:
+        one = FuncExpr.from_scalar(ONE)
+        return [AElement.gen(n).mul_scalar(one) for n in "xyz"] + [
+            AElement.from_coeff(FuncExpr.symbol("W", 1, -1))
+        ]
+    return [AElement.gen(n) for n in "xyz"] + [AElement.from_scalar(RHAT)]
 
 
 LETTERS = {
     "CompactElement": _COMPACT,
     "GlWeylElement": _GL,
-    "AElement/Scalar": _a_letters(ScalarCoeffs),
-    "AElement/Func": _a_letters(FuncCoeffs),
+    "AElement/Scalar": _a_letters(Scalar),
+    "AElement/Func": _a_letters(FuncExpr),
 }
 
 

@@ -4,16 +4,16 @@ import pytest
 
 from ncu2.parser import MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, ParseError, evaluate, parse
 from ncu2.scalars import H, HBAR, I, RHAT, rational
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.shifts import FuncExpr
 from ncu2.u2 import AElement
 
 
 def _c(s):
-    return AElement.from_scalar(s, FuncCoeffs)
+    return AElement.from_scalar(s)
 
 
 def test_commutator_reduces():
-    assert evaluate("x*y - y*x") == AElement.gen("z", FuncCoeffs).mul_scalar(H)
+    assert evaluate("x*y - y*x") == AElement.gen("z").mul_scalar(H)
 
 
 def test_casimir_reduces():
@@ -23,13 +23,13 @@ def test_casimir_reduces():
 def test_rational_literals():
     assert evaluate("3/4") == _c(rational(3, 4))
     assert evaluate("0.0625") == _c(rational(1, 16))
-    assert evaluate("-1/2 + 1/2") == AElement(FuncCoeffs)
+    assert evaluate("-1/2 + 1/2") == AElement()
 
 
 def test_shifted_profile_application():
     e = evaluate("W(tau+2*hbar, rhat-hbar)")
-    assert e == AElement.from_coeff(FuncExpr.symbol("W", 2, -1), FuncCoeffs)
-    assert evaluate("F(tau, rhat)") == AElement.from_coeff(FuncExpr.symbol("F"), FuncCoeffs)
+    assert e == AElement.from_coeff(FuncExpr.symbol("W", 2, -1))
+    assert evaluate("F(tau, rhat)") == AElement.from_coeff(FuncExpr.symbol("F"))
 
 
 def test_builtin_symbols():
@@ -38,7 +38,7 @@ def test_builtin_symbols():
 
 
 def test_division_by_central_scalars():
-    assert evaluate("x/2") == AElement.gen("x", FuncCoeffs).mul_scalar(rational(1, 2))
+    assert evaluate("x/2") == AElement.gen("x").mul_scalar(rational(1, 2))
     assert evaluate("rhat/rhat") == _c(rational(1))
 
 

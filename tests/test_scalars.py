@@ -22,7 +22,7 @@ from ncu2.scalars import (
     rational,
     solve2,
 )
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.shifts import FuncExpr
 from ncu2.u2 import AElement
 
 _GENS = (TAU, RHAT, HBAR, I)
@@ -210,7 +210,7 @@ def test_solve2_rank_deficient_rows():
 
 def test_solve_span_rejects_a_coordinate_outside_e1_e2():
     e1, e2 = profile_equations()
-    x = AElement.gen("x", FuncCoeffs)
+    x = AElement.gen("x")
     u, v = _solve_span(x.mul_scalar(e1 * RHAT + e2), e1, e2)
     assert (u, v) == (x.mul_scalar(RHAT), x)
     # G appears in neither E1 nor E2, so only its own row sees it

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from ncu2.scalars import HBAR, I, ONE, RHAT, Scalar, TAU, rational
-from ncu2.shifts import FuncCoeffs, FuncExpr, atom
+from ncu2.shifts import FuncExpr, atom
+from ncu2.theta import d_radial_closed, d_tau_closed, theta_parts
 
 W = FuncExpr.symbol("W")
 F = FuncExpr.symbol("F")
@@ -76,15 +77,15 @@ def test_evaluate_numeric():
 @settings(max_examples=30, deadline=None)
 @given(funcexprs())
 def test_theta_parts_decomposition(c):
-    diag, off = FuncCoeffs.theta_parts(c)
-    assert diag == c + FuncCoeffs.d_tau(c).mul_scalar(HBAR)
-    assert off == FuncCoeffs.d_radial(c).mul_scalar(I * HBAR / RHAT)
+    diag, off = theta_parts(c)
+    assert diag == c + d_tau_closed(c).mul_scalar(HBAR)
+    assert off == d_radial_closed(c).mul_scalar(I * HBAR / RHAT)
 
 
 def test_difference_operators_on_scalars():
     f = FuncExpr.from_scalar(RHAT**2)
-    assert FuncCoeffs.d_radial(f) == FuncExpr.from_scalar(RHAT * 2)
-    assert FuncCoeffs.d_tau(FuncExpr.from_scalar(TAU)) == FuncCoeffs.one
+    assert d_radial_closed(f) == FuncExpr.from_scalar(RHAT * 2)
+    assert d_tau_closed(FuncExpr.from_scalar(TAU)) == FuncExpr.from_scalar(ONE)
 
 
 def test_as_scalar_rejects_atoms():

@@ -6,10 +6,10 @@ import pytest
 
 from ncu2.glweyl import GlWeylElement, TensorElement, coproduct
 from ncu2.parser import evaluate
-from ncu2.scalars import HBAR, RHAT, TAU, rational
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.scalars import HBAR, ONE, RHAT, Scalar, TAU, rational
+from ncu2.shifts import FuncExpr
 from ncu2.sparse import accumulate
-from ncu2.u2 import AElement, CompactElement, ScalarCoeffs
+from ncu2.u2 import AElement, CompactElement
 
 _SCALARS = (TAU, RHAT, HBAR, rational(-1, 2), rational(3))
 
@@ -18,12 +18,15 @@ def _compact(rng):
     return CompactElement.gen(rng.choice("txyz")) * rng.choice(_SCALARS)
 
 
-def _aelement(ring):
+def _aelement(coeff):
     def atom(rng):
-        if ring is FuncCoeffs and rng.random() < 0.5:
+        if coeff is FuncExpr and rng.random() < 0.5:
             f = FuncExpr.symbol(rng.choice("WF"), rng.randint(-1, 1), rng.randint(-1, 1))
-            return AElement.from_coeff(f, ring)
-        return AElement.gen(rng.choice("xyz"), ring) * rng.choice(_SCALARS)
+            return AElement.from_coeff(f)
+        g = AElement.gen(rng.choice("xyz"))
+        if coeff is FuncExpr:
+            g = g.mul_scalar(FuncExpr.from_scalar(ONE))
+        return g * rng.choice(_SCALARS)
 
     return atom
 
@@ -49,8 +52,8 @@ def _tensor(rng):
 
 KINDS = {
     "CompactElement": (_compact, lambda e: e * -1),
-    "AElement/Scalar": (_aelement(ScalarCoeffs), lambda e: -e),
-    "AElement/Func": (_aelement(FuncCoeffs), lambda e: -e),
+    "AElement/Scalar": (_aelement(Scalar), lambda e: -e),
+    "AElement/Func": (_aelement(FuncExpr), lambda e: -e),
     "FuncExpr": (_funcexpr, lambda e: -e),
     "GlWeylElement": (_glweyl, lambda e: -e),
     # TensorElement has no subtraction; negate through the scalar product

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncu2.scalars import H, HBAR, RHAT
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.shifts import FuncExpr
 from ncu2.spinreps import (
     UnsupportedSymbolError,
     ch_residual,
@@ -51,7 +51,7 @@ def test_symbolic_identity_evaluates_to_zero():
 
 
 def test_rejects_profile_symbols():
-    a = AElement.from_coeff(FuncExpr.symbol("W"), FuncCoeffs)
+    a = AElement.from_coeff(FuncExpr.symbol("W"))
     with pytest.raises(UnsupportedSymbolError):
         evaluate_element(a, spin_rep(1, 0.5))
 

@@ -1,13 +1,18 @@
 """The multiplicative derivative matrix and the closed difference formulas."""
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
 from ncu2.identities import random_central, random_monomial_element
+from ncu2 import parser
+from ncu2 import theta as theta_module
 from ncu2.scalars import H, HBAR, I, ONE, RHAT, Scalar, TAU, rational
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.shifts import FuncExpr
 from ncu2.theta import (
+    OPS,
     ThetaMatrix,
     d_radial_closed,
     d_t,
@@ -23,8 +28,9 @@ from ncu2.theta import (
     radial_extend,
     theta,
     theta_multiplicative,
+    theta_parts,
 )
-from ncu2.u2 import AElement, ScalarCoeffs
+from ncu2.u2 import AElement
 
 X = AElement.gen("x")
 Y = AElement.gen("y")
@@ -37,9 +43,9 @@ def _c(s):
 
 def test_actions_on_generators():
     assert d_x(X) == _c(ONE)
-    assert d_y(X) == AElement(ScalarCoeffs)
-    assert d_z(X) == AElement(ScalarCoeffs)
-    assert d_t(X) == AElement(ScalarCoeffs)
+    assert d_y(X) == AElement()
+    assert d_z(X) == AElement()
+    assert d_t(X) == AElement()
 
 
 def test_dz_of_xy():
@@ -68,11 +74,11 @@ def _matmul_dense(ta, tb):
                     continue
                 p = a * b
                 acc = p if acc is None else acc + p
-            row.append(acc if acc is not None else AElement(ta.ring))
+            row.append(acc if acc is not None else AElement())
         rows.append(row)
     # read the components back off the first row and certify that the
     # remaining 12 entries really follow the quaternionic pattern
-    out = ThetaMatrix(ta.ring, (rows[0][0], rows[0][1], rows[0][2], rows[0][3]))
+    out = ThetaMatrix((rows[0][0], rows[0][1], rows[0][2], rows[0][3]))
     assert out.rows() == rows, "dense product left the quaternionic pattern"
     return out
 
@@ -85,13 +91,13 @@ def test_component_product_matches_dense_product():
         assert ta @ tb == _matmul_dense(ta, tb)
 
 
-def _seeded_element(rng, ring, terms=2, max_deg=2):
-    """A sum of seeded monomials with multi-term central coefficients;
-    over FuncCoeffs each coefficient also carries a shifted profile."""
-    out = AElement(ring)
+def _seeded_element(rng, coeff, terms=2, max_deg=2):
+    """A sum of seeded monomials with multi-term central coefficients of
+    type ``coeff``; a FuncExpr coefficient also carries a shifted profile."""
+    out = AElement()
     for _ in range(terms):
-        t = random_monomial_element(rng, ring, max_deg=max_deg)
-        if ring is FuncCoeffs:
+        t = random_monomial_element(rng, max_deg=max_deg)
+        if coeff is FuncExpr:
             atom = FuncExpr.symbol(rng.choice("WF"), rng.randint(-1, 1), rng.randint(-1, 1))
             t = t.mul_scalar(atom.mul_scalar(random_central(rng)) + FuncExpr.from_scalar(ONE))
         out = out + t
@@ -102,21 +108,18 @@ def _theta_composed(a):
     """Oracle for theta(): per term c*m, theta(c) @ theta(x)^p @ theta(y)^q
     @ theta(z)^e, with theta(c) = diag + off*(x E_x + y E_y + z E_z) and
     the generator matrices written out here."""
-    ring = a.ring
-    zero = AElement(ring)
-    ih = AElement.from_scalar(I * HBAR, ring)
+    zero = AElement()
+    ih = AElement.from_scalar(I * HBAR)
     gens = {}
     for k, name in enumerate("xyz", start=1):
-        comps = [AElement.gen(name, ring), zero, zero, zero]
+        comps = [AElement.gen(name), zero, zero, zero]
         comps[k] = ih
-        gens[name] = ThetaMatrix(ring, comps)
-    total = ThetaMatrix.zero(ring)
+        gens[name] = ThetaMatrix(comps)
+    total = ThetaMatrix.zero()
     for mono, c in a.terms.items():
-        diag, off = ring.theta_parts(c)
+        diag, off = theta_parts(c)
         term = ThetaMatrix(
-            ring,
-            [AElement.from_coeff(diag, ring)]
-            + [AElement.gen(n, ring).mul_scalar(off) for n in "xyz"],
+            [AElement.from_coeff(diag)] + [AElement.gen(n).mul_scalar(off) for n in "xyz"]
         )
         for name, k in zip("xyz", mono):
             for _ in range(k):
@@ -133,12 +136,12 @@ def _assert_reduced(tm):
                 assert c.num.div(f)[1], f"{f} divides the numerator of {c}"
 
 
-@pytest.mark.parametrize("ring, terms", [(ScalarCoeffs, 2), (FuncCoeffs, 1)])
-def test_batched_theta_and_product_match_their_oracles(ring, terms):
+@pytest.mark.parametrize("coeff, terms", [(Scalar, 2), (FuncExpr, 1)], ids=["Scalar-2", "FuncExpr-1"])
+def test_batched_theta_and_product_match_their_oracles(coeff, terms):
     rng = random.Random(17)
     for _ in range(3):
-        a = _seeded_element(rng, ring, terms)
-        b = _seeded_element(rng, ring, terms)
+        a = _seeded_element(rng, coeff, terms)
+        b = _seeded_element(rng, coeff, terms)
         ta, tb = theta(a), theta(b)
         for e, te in ((a, ta), (b, tb), (a + b, theta(a + b))):
             assert te == _theta_composed(e)
@@ -146,7 +149,7 @@ def test_batched_theta_and_product_match_their_oracles(ring, terms):
         assert all(ta.comps) and all(tb.comps)
         prod = ta @ tb
         assert prod == _matmul_dense(ta, tb)
-        if ring is ScalarCoeffs:
+        if coeff is Scalar:
             _assert_reduced(ta)
             _assert_reduced(prod)
 
@@ -200,8 +203,8 @@ def test_laplacian_radial_identity():
 def test_matrix_algebra():
     thx = theta(X)
     thy = theta(Y)
-    assert thx + ThetaMatrix.zero(ScalarCoeffs) == thx
-    assert thx @ ThetaMatrix.identity(ScalarCoeffs) == thx
+    assert thx + ThetaMatrix.zero() == thx
+    assert thx @ ThetaMatrix.identity() == thx
     assert theta(X * Y) == thx @ thy
 
 
@@ -209,3 +212,60 @@ def test_derive_dispatch():
     assert derive("dz", X * Y) == d_z(X * Y)
     with pytest.raises(ValueError):
         derive("curl", X)
+
+
+# -- coefficient types are kept ----------------------------------------------
+
+
+def _coeff_types(*elements):
+    return {type(c) for e in elements for c in e.terms.values()}
+
+
+def test_parser_and_every_derive_op_give_funcexpr_coefficients():
+    rng = random.Random(29)
+    leaves = ["x", "y", "z", "tau", "rhat", "2", "i", "W(tau, rhat+hbar)"]
+    seen = set()
+    for _ in range(6):
+        text = "*".join(rng.choice(leaves) for _ in range(3)) + " + " + rng.choice(leaves)
+        a = parser.evaluate(text)
+        images = [derive(op, a) for op in OPS]
+        assert _coeff_types(a, *images) <= {FuncExpr}, text
+        seen |= _coeff_types(a, *images)
+    assert seen == {FuncExpr}
+    # the printed form of a FuncExpr coefficient, against (1) for a Scalar one
+    assert str(derive("dx", parser.evaluate("x"))) == "((1))"
+    assert str(d_x(X)) == "(1)"
+
+
+def test_theta_over_the_theta_mult_pool_keeps_reduced_scalars():
+    rng = random.Random(0)
+    for _ in range(6):
+        a = random_monomial_element(rng)
+        b = random_monomial_element(rng)
+        ta, tb = theta(a), theta(b)
+        prod = ta @ tb
+        for tm in (ta, tb, theta(a * b), prod):
+            assert _coeff_types(*tm.comps) == {Scalar}
+            _assert_reduced(tm)
+
+
+def test_funcexpr_theta_shares_the_monomial_cache():
+    theta_module._CACHE.clear()
+    rng = random.Random(31)
+    a = _seeded_element(rng, Scalar, terms=3)
+    theta(a)
+    monos = set(a.terms)
+    assert set(theta_module._CACHE) == monos
+    lifted = AElement({m: FuncExpr.from_scalar(c) for m, c in a.terms.items()})
+    assert _coeff_types(*theta(lifted).comps) == {FuncExpr}
+    assert set(theta_module._CACHE) == monos
+
+
+def test_the_benchmark_can_still_corrupt_a_theta_reference(monkeypatch):
+    """perfbench/selftest.py's _corrupt calls
+    ThetaMatrix.identity(reference.ring), the one reader of the ``ring``
+    class attribute and of identity's ignored argument."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    selftest = importlib.import_module("selftest")
+    reference = theta(X * Y + _c(RHAT))
+    assert selftest._corrupt(reference) != reference

@@ -6,13 +6,12 @@ import pytest
 
 from ncu2.glweyl import compact_generators_as_gl
 from ncu2.identities import random_central, random_monomial_element
-from ncu2.scalars import H, HBAR, I, ONE, RHAT, TAU, rational
-from ncu2.shifts import FuncCoeffs, FuncExpr
+from ncu2.scalars import H, HBAR, I, ONE, RHAT, TAU, Scalar, rational
+from ncu2.shifts import FuncExpr
 from ncu2.sparse import accumulate
 from ncu2.u2 import (
     AElement,
     CompactElement,
-    ScalarCoeffs,
     _amono_mul,
     cayley_hamilton,
     generating_matrix,
@@ -123,7 +122,7 @@ def _product_per_term(x, y):
             c = c1 * c2
             for m, s in _amono_mul(m1, m2):
                 accumulate(out, m, c if s == ONE else c * s)
-    return AElement(x.ring, out)
+    return AElement(out)
 
 
 def _assert_reduced(e):
@@ -133,26 +132,44 @@ def _assert_reduced(e):
             assert c.num.div(f)[1], f"{f} divides the numerator of {c}"
 
 
-def _seeded_element(rng, ring, terms=3, max_deg=3):
-    """A sum of seeded monomials with multi-term central coefficients;
-    over FuncCoeffs each coefficient also carries a shifted profile."""
-    out = AElement(ring)
+def _seeded_element(rng, coeff, terms=3, max_deg=3):
+    """A sum of seeded monomials with multi-term central coefficients of
+    type ``coeff``; a FuncExpr coefficient also carries a shifted profile."""
+    out = AElement()
     for _ in range(terms):
-        t = random_monomial_element(rng, ring, max_deg=max_deg)
-        if ring is FuncCoeffs:
+        t = random_monomial_element(rng, max_deg=max_deg)
+        if coeff is FuncExpr:
             atom = FuncExpr.symbol(rng.choice("WF"), rng.randint(-1, 1), rng.randint(-1, 1))
             t = t.mul_scalar(atom.mul_scalar(random_central(rng)) + FuncExpr.from_scalar(ONE))
         out = out + t
     return out
 
 
-@pytest.mark.parametrize("ring", [ScalarCoeffs, FuncCoeffs])
-def test_product_matches_the_per_term_product(ring):
+def _coeff_types(e):
+    return {type(c) for c in e.terms.values()}
+
+
+@pytest.mark.parametrize("coeff", [Scalar, FuncExpr], ids=["Scalar", "FuncExpr"])
+def test_product_matches_the_per_term_product(coeff):
     rng = random.Random(17)
     for _ in range(6):
-        x = _seeded_element(rng, ring)
-        y = _seeded_element(rng, ring)
+        x = _seeded_element(rng, coeff)
+        y = _seeded_element(rng, coeff)
         xy = x * y
         assert xy == _product_per_term(x, y)
-        if ring is ScalarCoeffs:
+        assert _coeff_types(xy) == {coeff}
+        if coeff is Scalar:
             _assert_reduced(xy)
+
+
+def test_mixed_product_lifts_to_funcexpr():
+    """A Scalar-coefficient element times a FuncExpr one equals the
+    product with the first lifted, and has only FuncExpr coefficients."""
+    rng = random.Random(23)
+    for _ in range(4):
+        x = _seeded_element(rng, Scalar)
+        y = _seeded_element(rng, FuncExpr)
+        lifted = AElement({m: FuncExpr.from_scalar(c) for m, c in x.terms.items()})
+        for got, want in ((x * y, lifted * y), (y * x, y * lifted)):
+            assert got == want
+            assert _coeff_types(got) == {FuncExpr}
