@@ -192,10 +192,7 @@ def _cmd_solve_hedgehog(args) -> int:
     check_domain(hbar, r0)
     if init is None:
         init = classical_seed(r0, hbar)
-    try:
-        sol = march(init, hbar, r0, args.steps)
-    except OverflowError:
-        raise UsageError(f"the stencil overflows binary64 at hbar = {hbar}, r0 = {r0}") from None
+    sol = march(init, hbar, r0, args.steps)
     fh = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.format == "json":

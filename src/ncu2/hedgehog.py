@@ -316,7 +316,8 @@ def _stencil(r, h):
 
     Compiled from ``profile_equations()``, so the march solves exactly
     the equations ``hedgehog_reduce`` certifies.  Raises HedgehogError
-    on a term outside ``_SHAPES`` or a coefficient that is not real.
+    on a term outside ``_SHAPES`` or a coefficient that is not real, and
+    DomainError on one that overflows binary64.
     """
     out = []
     for e in profile_equations():
@@ -325,7 +326,12 @@ def _stencil(r, h):
             shape = tuple(sorted((name, q) for name, _, q in key))
             if shape not in coeffs:
                 raise HedgehogError(f"the march has no stencil slot for the term {key}")
-            v = c.evaluate(rhat=r, hbar=h)
+            try:
+                v = c.evaluate(rhat=r, hbar=h)
+            except OverflowError:
+                v = None
+            if v is None or not np.all(np.isfinite(v)):
+                raise DomainError(f"coefficient {c} of the term {key} overflows binary64 at hbar = {h}")
             if np.any(v.imag):
                 raise HedgehogError(f"coefficient {c} of the term {key} is not real")
             coeffs[shape] += v.real

@@ -11,12 +11,17 @@ Cancellation is done by trial exact division against those factors,
 which is cheap and keeps gcd(num, den) = 1 as long as the factors are
 irreducible over Q(i).  Factorisation (needed only when inverting a
 non-monomial scalar) is delegated to sympy and cached.
+
+Sums of products (every AElement product and theta) bypass the sympy
+arithmetic of ``+`` and ``*``: ``product_parts``/``sum_parts`` work on
+packed-exponent Gaussian-integer numerators and reduce each sum once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import sympy
 from sympy.polys.domains import QQ_I
@@ -111,10 +116,11 @@ def _linear_split(f):
 # fixed point lying on the zero set of the linear factor, over GF(p)
 # with p = 1 mod 4 so that i has a square root.  A nonzero value proves
 # the factor does not divide; zero falls through to exact division.
-# It stays because it pays: one in-process pass over the seed-0
-# theta-mult benchmark pool (22 pairs, cold caches) took 6.4-6.8 s with
-# it and 12.6-13.8 s without it (two runs each, CPython 3.11 on 2
-# shared cores).
+# It stays because it pays: with the packed batched kernel, a warm
+# in-process pass over the seed-5 theta-mult benchmark pool (22 pairs)
+# took 0.57-0.66 s with it and 0.87-1.04 s without it (medians of five
+# passes, three runs each; the cold first pass 1.24-1.34 against
+# 1.50-2.12 s; CPython 3.11 on 2 shared cores).
 _P = 998244353
 _IMOD = pow(3, (_P - 1) // 4, _P)
 _PTS = (123456789, 362436069, 521288629)
@@ -244,7 +250,8 @@ def _cancel(num, den):
 class Scalar:
     """Element of the field Q(i)(tau, rhat, hbar), exact and canonical."""
 
-    __slots__ = ("num", "den", "_hash")
+    # _packed is set only by the batched kernel (see _packed)
+    __slots__ = ("num", "den", "_hash", "_packed")
 
     def __init__(self, value=0):
         if isinstance(value, (int, Fraction)):
@@ -554,12 +561,80 @@ def rational(num, den=1) -> Scalar:
     return Scalar(Fraction(num, den))
 
 
-# -- batched sums of products ------------------------------------------------
+# -- batched sums of products: the packed Z[i] kernel -------------------------
+#
+# A numerator sum_k (re_k + i*im_k)/d * tau^a rhat^b hbar^c is held as
+# ({a | b << _W | c << 2*_W: (re_k, im_k)}, d) in Python ints, so a
+# monomial product is one integer addition (Monagan & Pearce, CASC 2007).
+# No field may carry into the next: _pack refuses exponents above
+# _MAX_EXP, a batched term multiplies at most three packed operands, and
+# sum_parts refuses to lift a group to the lcm by more than _ROOM.
+
+_W = 20
+_MASK = (1 << _W) - 1
+_MAX_EXP = (1 << 16) - 1
+_ROOM = _MASK - 3 * _MAX_EXP
+_QQ = QQ_I.dom.dtype
+_GAUSS = QQ_I.dtype.new
+
+
+def _pack(p):
+    """A PolyElement as (packed numerator, common integer denominator)."""
+    d = 1
+    for g in p.values():
+        d = lcm(d, int(g.x.denominator), int(g.y.denominator))
+    out = {}
+    for (a, b, c), g in p.items():
+        if a > _MAX_EXP or b > _MAX_EXP or c > _MAX_EXP:
+            raise ScalarError(f"exponent {max(a, b, c)} exceeds the packed bound {_MAX_EXP}")
+        x, y = g.x, g.y
+        re, im = int(x.numerator) * (d // int(x.denominator)), int(y.numerator) * (d // int(y.denominator))
+        out[a | b << _W | c << 2 * _W] = re, im
+    return out, d
+
+
+def _packed(s):
+    """The packed numerator of a Scalar, kept on the Scalar once made."""
+    pk = getattr(s, "_packed", None)
+    if pk is None:
+        pk = s._packed = _pack(s.num)
+    return pk
+
+
+def _pmul(n1, n2):
+    out = {}
+    get = out.get
+    for k1, (r1, i1) in n1.items():
+        for k2, (r2, i2) in n2.items():
+            k = k1 + k2
+            re = r1 * r2 - i1 * i2
+            im = r1 * i2 + i1 * r2
+            old = get(k)
+            out[k] = (re, im) if old is None else (old[0] + re, old[1] + im)
+    return out
+
+
+def _paddto(acc, num, scale):
+    """acc += scale * num, in place."""
+    get = acc.get
+    for k, (re, im) in num.items():
+        old = get(k)
+        acc[k] = (scale * re, scale * im) if old is None else (old[0] + scale * re, old[1] + scale * im)
+
+
+def _unpack(num, d):
+    """The PolyElement of a packed numerator over d."""
+    return _RING.from_dict({
+        (k & _MASK, k >> _W & _MASK, k >> 2 * _W): _GAUSS(_QQ(re, d), _QQ(im, d))
+        for k, (re, im) in num.items()
+        if re or im
+    })
 
 
 def product_parts(a: Scalar, b: Scalar):
-    """``a * b`` before cancellation: (numerator product, merged
-    denominator as a sorted tuple of (factor, exponent))."""
+    """``a * b`` before cancellation: (packed numerator product, its
+    integer denominator, merged denominator as a sorted tuple of
+    (factor, exponent))."""
     if not b.den:
         den = a.den
     elif not a.den:
@@ -569,7 +644,8 @@ def product_parts(a: Scalar, b: Scalar):
         for f, e in b.den:
             merged[f] = merged.get(f, 0) + e
         den = tuple(sorted(merged.items(), key=lambda fe: _fkey(fe[0])))
-    return a.num * b.num, den
+    (n1, d1), (n2, d2) = _packed(a), _packed(b)
+    return _pmul(n1, n2), d1 * d2, den
 
 
 def sum_parts(items) -> Scalar:
@@ -577,24 +653,44 @@ def sum_parts(items) -> Scalar:
     ``part`` comes from :func:`product_parts` and ``s`` is a Scalar with
     no denominator (a structure constant of the algebra).
 
-    The numerators that share a denominator are added as polynomials,
-    each such sum is reduced once, and the few results are added.
+    The packed numerators that share a denominator are added in ints;
+    the groups are then brought over the lcm of their denominators and
+    added, and the one numerator is reduced once against that lcm.
     """
     groups = {}
-    for sign, (num, den), s in items:
+    for sign, (num, d, den), s in items:
         if s is not ONE:
-            num = num * s.num
-        acc = groups.get(den)
+            sn, sd = _packed(s)
+            num, d = _pmul(num, sn), d * sd
+        key = den, d
+        acc = groups.get(key)
         if acc is None:
-            groups[den] = num if sign > 0 else -num
-        else:
-            groups[den] = acc + num if sign > 0 else acc - num
-    out = ZERO
-    for den, num in groups.items():
-        if num:
-            part = Scalar._normalized(num, den)
-            out = part if not out else out + part
-    return out
+            groups[key] = acc = {}
+        _paddto(acc, num, 1 if sign > 0 else -1)
+    parts = [(den, d, acc) for (den, d), acc in groups.items() if any(re or im for re, im in acc.values())]
+    if not parts:
+        return ZERO
+    top = {}
+    for den, _, _ in parts:
+        for f, e in den:
+            if top.get(f, 0) < e:
+                top[f] = e
+    terms = []
+    for den, d, acc in parts:
+        have = dict(den)
+        lift = [(f, e - have.get(f, 0)) for f, e in top.items() if e != have.get(f, 0)]
+        if any(sum(k * f.degrees()[v] for f, k in lift) > _ROOM for v in range(3)):
+            raise ScalarError(f"the lcm of the denominators exceeds the packed exponent room {_ROOM}")
+        for f, k in lift:
+            fn, fd = _pack(f)
+            for _ in range(k):
+                acc, d = _pmul(acc, fn), d * fd
+        terms.append((acc, d))
+    common = lcm(*(d for _, d in terms))
+    total = {}
+    for acc, d in terms:
+        _paddto(total, acc, common // d)
+    return Scalar._normalized(_unpack(total, common), top)
 
 
 def solve2(rows):

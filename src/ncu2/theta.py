@@ -9,19 +9,20 @@ The map theta sends an element a to the matrix
 
 and preserves products.  It is computed multiplicatively from the
 classical actions on the generators and the closed difference formulas
-on central functions: with X = x E_x + y E_y + z E_z and the central
-parts diag, off of a coefficient c (``theta_parts``),
+on central functions.  With X = x E_x + y E_y + z E_z, theta(c) =
+(c + hbar d_tau c) + (i hbar/rhat) d_radial c X, which regroups by the
+shifted coefficients c+- = c(tau+hbar, rhat+-hbar) as
 
-    theta(c*m) = diag theta(m) + off X theta(m),
+    theta(c*m) = c+ P_m + c- M_m,
+    P_m = ((rhat+hbar) theta(m) + i X theta(m)) / (2 rhat),
+    M_m = ((rhat-hbar) theta(m) - i X theta(m)) / (2 rhat),
 
-where theta(m) and X theta(m) of a bare monomial m are cached once, with
-Scalar coefficients, for elements of either coefficient type.  The
-closed formulas use only ``shift_args``, ``+`` and ``*``, so c may be a
-Scalar or a FuncExpr.  Every individual derivative is read back from a
-matrix entry.  The compositional route is the ground truth for the
-radial derivative, the Laplacian and the operator
-Q = x d_x + y d_y + z d_z; the printed closed forms are kept alongside
-for comparison.
+with P_m and M_m of each bare monomial cached once, with Scalar
+coefficients, for c a Scalar or a FuncExpr alike.  Every individual
+derivative is read back from a matrix entry.  The compositional route is
+the ground truth for the radial derivative, the Laplacian and the
+operator Q = x d_x + y d_y + z d_z; the printed closed forms are kept
+alongside for comparison.
 """
 
 from __future__ import annotations
@@ -144,8 +145,6 @@ class ThetaMatrix:
 
 _INV_2H = ONE / (HBAR * 2)
 _INV_2RH = ONE / (RHAT * HBAR * 2)
-_INV_2R = ONE / (RHAT * 2)
-_I_2R = I / (RHAT * 2)
 
 
 def d_radial_closed(c):
@@ -162,15 +161,6 @@ def d_tau_closed(c):
     ) * _INV_2RH
 
 
-def theta_parts(c):
-    """(c + hbar d_tau c, (i hbar / rhat) d_radial c) with shared shifts."""
-    sp = c.shift_args(1, 1)
-    sm = c.shift_args(1, -1)
-    diag = (sp * (RHAT + HBAR) + sm * (RHAT - HBAR)) * _INV_2R
-    off = (sp - sm) * _I_2R
-    return diag, off
-
-
 # -- theta ---------------------------------------------------------------------
 
 _ZERO = AElement()
@@ -184,34 +174,45 @@ _GENS = {
 }
 _XMAT = ThetaMatrix([_ZERO] + [AElement.gen(n) for n in "xyz"])
 
-# (theta(m), X @ theta(m)) of bare monomials m, with Scalar coefficients
+# the weights of theta(m) and of X theta(m) in P_m and in M_m
+_PM_WEIGHTS = (
+    ((RHAT + HBAR) / (RHAT * 2), I / (RHAT * 2)),
+    ((RHAT - HBAR) / (RHAT * 2), -I / (RHAT * 2)),
+)
+
+# (P_m, M_m) of bare monomials m, with Scalar coefficients
 _CACHE = {}
 
 
 def _theta_mono(mono):
-    """(theta(m), X @ theta(m)) of a bare monomial m = x^p y^q z^e; cached."""
+    """(P_m, M_m) of a bare monomial m = x^p y^q z^e; cached."""
     try:
         return _CACHE[mono]
     except KeyError:
         pass
-    term = ThetaMatrix.identity()
+    th = ThetaMatrix.identity()
     for name, k in zip("xyz", mono):
         for _ in range(k):
-            term = term @ _GENS[name]
-    _CACHE[mono] = pair = (term, _XMAT @ term)
-    return pair
+            th = th @ _GENS[name]
+    xth = _XMAT @ th
+    _CACHE[mono] = pm = tuple(
+        ThetaMatrix([t.mul_scalar(u) + x.mul_scalar(v) for t, x in zip(th.comps, xth.comps)])
+        for u, v in _PM_WEIGHTS
+    )
+    return pm
 
 
 def theta(a: AElement) -> ThetaMatrix:
     """The multiplicative matrix of an element of A_h: each component is
-    one sum of products, diag theta(m) + off X theta(m) over the terms c*m."""
+    one sum of products, c+ P_m + c- M_m over the terms c*m."""
     pairs = ([], [], [], [])
     for mono, c in a.terms.items():
-        th, xth = _theta_mono(mono)
-        diag, off = (AElement.from_coeff(p) for p in theta_parts(c))
+        pm, mm = _theta_mono(mono)
+        cp = AElement.from_coeff(c.shift_args(1, 1))
+        cm = AElement.from_coeff(c.shift_args(1, -1))
         for k in range(4):
-            pairs[k].append((1, diag, th.comps[k]))
-            pairs[k].append((1, off, xth.comps[k]))
+            pairs[k].append((1, cp, pm.comps[k]))
+            pairs[k].append((1, cm, mm.comps[k]))
     return ThetaMatrix([sum_of_products(p) for p in pairs])
 
 

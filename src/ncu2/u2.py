@@ -17,12 +17,12 @@ coefficient's own type decides its arithmetic.  Both add, negate, test
 for zero with ``bool``, multiply with ``*`` (a Scalar times a FuncExpr
 through ``FuncExpr.__rmul__``) and shift their arguments with
 ``shift_args``.  :func:`sum_of_products` is the one AElement product
-loop: when every coefficient it sees is a Scalar it defers cancellation
-to the sum (``scalars.product_parts``/``sum_parts``), so each output
-coefficient is reduced once; otherwise it multiplies with ``*`` and
-folds.  Both element types scale through the one
-``SparseSum.mul_scalar``, and put words in PBW order through
-``sparse.normal_order`` with the pair rule ``_swap``.
+loop: when every coefficient it sees is a Scalar it multiplies and adds
+on the packed integer kernel of ``scalars.product_parts``/``sum_parts``,
+so each output coefficient becomes a polynomial and is reduced once;
+otherwise it multiplies with ``*`` and folds.  Both element types scale
+through the one ``SparseSum.mul_scalar``, and put words in PBW order
+through ``sparse.normal_order`` with the pair rule ``_swap``.
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ def sum_of_products(pairs):
     gathered per output monomial with their structure constants, and
     each output coefficient is summed once.  When every coefficient in
     the pairs is a Scalar, the product is ``scalars.product_parts`` and
-    the sum ``scalars.sum_parts``, which reduces once; otherwise ``*``
-    and a fold.
+    the sum ``scalars.sum_parts``, both on packed Gaussian-integer
+    numerators, and the sum is reduced once; otherwise ``*`` and a fold.
     """
     exact = all(
         type(c) is Scalar for _, x, y in pairs for e in (x, y) for c in e.terms.values()

@@ -280,6 +280,17 @@ def test_rational_flags_outside_binary64_are_usage_errors(argv, message, capsys)
     assert captured.err == message
 
 
+@pytest.mark.parametrize("r0, hbar", [("1e300", "1e-300"), ("1e301", "1e300")])
+def test_solve_hedgehog_stencil_overflow_is_a_usage_error(r0, hbar, capsys):
+    rc = main(["solve-hedgehog", "--r0", r0, "--hbar", hbar, "--steps", "3", "--init", "classical"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ncu2: coefficient ")
+    assert lines[0].endswith(f"overflows binary64 at hbar = {float(hbar)}")
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
 def test_solve_hedgehog_unreadable_init_is_usage_error(case, tmp_path, capsys):
     path = {"missing": tmp_path / "none.txt", "directory": tmp_path, "not utf-8": tmp_path / "init.txt"}[case]

@@ -156,8 +156,9 @@ def _solve(r0, hbar, steps, init="classical"):
 @example(argv=_solve("1e400", "1", "2"))
 @example(argv=["rep-check", "--two-j", "3", "--hbar", "1e-400"])
 # found while writing this test: binary64 overflow in the spin matrices and
-# in the march's stencil, a decimal exponent that takes seconds to parse,
-# and init files that cannot be read
+# in the march's stencil (each exit 2; the stencil at r0 = 1e300, hbar =
+# 1e-300 was reported as "not real" with exit 1), a decimal exponent that
+# takes seconds to parse, and init files that cannot be read
 @example(argv=["rep-check", "--two-j", "100", "--hbar", "1e300"])
 @example(argv=_solve("1", "1e-300", "40"))
 @example(argv=_solve("1e301", "1e300", "40"))

@@ -128,6 +128,14 @@ def test_march_domain_errors():
         march((0, math.inf, 0, 0), 0.5, 1.0, 10)
 
 
+@pytest.mark.parametrize("hbar, r0", [(1e300, 1e301), (1e-300, 1e300)])
+def test_march_stencil_overflow_is_a_domain_error(hbar, r0):
+    # Scalar.evaluate overflows at hbar = 1e300; at hbar = 1e-300 a
+    # coefficient turns inf (it was reported as "not real", inf*0 = NaN)
+    with pytest.raises(DomainError, match="overflows binary64"):
+        march((0, 0, 0, 0), hbar, r0, 3)
+
+
 def test_march_solves_the_certified_equations():
     # the marched values make the exact E1, E2 vanish at every interior
     # node; the profiles are tau-independent, so atom (name, p, q) reads

@@ -2,16 +2,18 @@
 
 Each mutation patches one ingredient the way a transcription slip
 would, and the suite must report it as a failing entry, not raise, and
-``ncu2 verify`` must exit 1.  Neither patch reaches a memo cache
-(``sparse.normal_order``, ``u2._zreduce``, ``theta._CACHE``), so nothing
-wrong outlives the test.
+``ncu2 verify`` must exit 1.  No patch reaches a memo cache
+(``sparse.normal_order``, ``u2._zreduce``) or the shared ``theta._CACHE``:
+a patch of the cached theta matrices swaps in an empty cache for the
+test, so nothing wrong outlives it.
 """
+
+import functools
+import random
 
 import pytest
 
-import random
-
-from ncu2 import hedgehog, theta, u2
+from ncu2 import hedgehog, identities, theta, u2
 from ncu2.cli import main
 from ncu2.identities import random_central, run_suite
 from ncu2.scalars import HBAR, ONE
@@ -47,6 +49,26 @@ def test_a_wrong_ingredient_fails_the_suite(suite, mutate, monkeypatch, capsys):
     entries, passed = run_suite(suite)
     assert not passed
     assert any(not e["match"] and e["note"] for e in entries)
+    assert main(["verify", "--suite", suite]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def _flip_the_cross_term_of_m(monkeypatch):
+    # M_m = ((rhat - hbar) theta(m) - i X theta(m)) / (2 rhat) gets + i X theta(m)
+    plus, (diag, cross) = theta._PM_WEIGHTS
+    monkeypatch.setattr(theta, "_PM_WEIGHTS", (plus, (diag, -cross)))
+    monkeypatch.setattr(theta, "_CACHE", {})
+
+
+@pytest.mark.parametrize("suite", ["theta-mult", "leibniz", "laplacian"])
+def test_a_wrong_theta_matrix_fails_the_suite(suite, monkeypatch, capsys):
+    # 20 pairs instead of the 200 that test_03 keeps
+    monkeypatch.setitem(identities.SUITES, "theta-mult", functools.partial(identities.suite_theta_mult, pairs=20))
+    assert run_suite(suite)[1]
+    _flip_the_cross_term_of_m(monkeypatch)
+    entries, passed = run_suite(suite)
+    assert not passed
+    assert any(not e["match"] for e in entries)
     assert main(["verify", "--suite", suite]) == 1
     assert "FAIL" in capsys.readouterr().out
 

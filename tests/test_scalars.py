@@ -3,27 +3,33 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import QQ_I
 
 from ncu2.hedgehog import ReductionError, _solve_span, profile_equations
 from ncu2.scalars import (
     DivisionByZero,
+    H,
     HBAR,
     I,
     ONE,
     PoleAtZero,
     RHAT,
     Scalar,
+    ScalarError,
     TAU,
     ZERO,
+    _MAX_EXP,
+    _ROOM,
     _fkey,
     gauss,
+    product_parts,
     rational,
     solve2,
+    sum_parts,
 )
 from ncu2.shifts import FuncExpr
-from ncu2.u2 import AElement
+from ncu2.u2 import AElement, _R2
 
 _GENS = (TAU, RHAT, HBAR, I)
 _DENS = (RHAT, RHAT + HBAR, RHAT - HBAR, TAU + RHAT, HBAR * 2 + TAU)
@@ -178,6 +184,86 @@ def test_results_are_canonical(a, b, p, q):
     for s in (a + b - b, a * b / b if b else a):
         assert (s.num, s.den) == (a.num, a.den)
     assert (a - a).den == ()
+
+
+# -- the packed kernel of product_parts/sum_parts ------------------------------
+
+
+@st.composite
+def gaussian_scalars(draw):
+    """Gaussian coefficients with denominators up to 10**6, over products
+    of the denominator factors in _DENS, so that groups share factors."""
+    num = ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        re, im = (
+            Fraction(draw(st.integers(-(10**6), 10**6)), draw(st.integers(1, 10**6)))
+            for _ in range(2)
+        )
+        term = gauss(re, im)
+        for _ in range(draw(st.integers(0, 2))):
+            term = term * draw(st.sampled_from((TAU, RHAT, HBAR)))
+        num = num + term
+    for _ in range(draw(st.integers(0, 2))):
+        num = num / draw(st.sampled_from(_DENS))
+    return num
+
+
+# the structure constants the AElement product loop multiplies in
+_STRUCTURE = (ONE, H, -H, _R2)
+
+
+@st.composite
+def batches(draw):
+    item = st.tuples(
+        st.sampled_from((1, -1)), gaussian_scalars(), gaussian_scalars(), st.sampled_from(_STRUCTURE)
+    )
+    items = draw(st.lists(item, min_size=1, max_size=5))
+    if draw(st.booleans()):  # every term again with the other sign: the sum is 0
+        items += [(-sign, a, b, s) for sign, a, b, s in items]
+    return items
+
+
+def _batched(items):
+    return sum_parts([(sign, product_parts(a, b), s) for sign, a, b, s in items])
+
+
+def _fold(items):
+    out = ZERO
+    for sign, a, b, s in items:
+        term = a * b * s
+        out = out + (term if sign > 0 else -term)
+    return out
+
+
+_A1 = ONE / (RHAT * (RHAT + HBAR))
+_A2 = ONE / (RHAT * (RHAT - HBAR))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(batches())
+# rhat at the same exponent in two groups cancels only in their sum (to
+# 2/(rhat^2 - hbar^2)), and a sum that cancels to 0
+@example([(1, _A1, ONE, ONE), (1, _A2, ONE, ONE)])
+@example([(1, _A1, RHAT, H), (-1, _A1, RHAT, H)])
+def test_packed_batch_equals_the_scalar_fold(items):
+    got, want = _batched(items), _fold(items)
+    assert (got.num, got.den) == (want.num, want.den)
+    _assert_canonical(got)
+
+
+def test_packed_exponents_at_the_bound():
+    # three operands with every exponent at the bound fill each field
+    # to 3*_MAX_EXP without a carry
+    top = (TAU * RHAT * HBAR) ** _MAX_EXP
+    items = [(1, top, top, top), (-1, top / (RHAT + HBAR), RHAT, H)]
+    got, want = _batched(items), _fold(items)
+    assert (got.num, got.den) == (want.num, want.den)
+    with pytest.raises(ScalarError, match="packed bound"):
+        product_parts(TAU ** (_MAX_EXP + 1), ONE)
+    # a factor that the lcm would raise beyond the room left is refused
+    far = (ONE / (RHAT + HBAR)) ** (_ROOM + 1)
+    with pytest.raises(ScalarError, match="room"):
+        _batched([(1, far, ONE, ONE), (1, ONE / RHAT, ONE, ONE)])
 
 
 def _row(a, b, u, v):

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from ncu2.scalars import HBAR, I, ONE, RHAT, Scalar, TAU, rational
 from ncu2.shifts import FuncExpr, atom
-from ncu2.theta import d_radial_closed, d_tau_closed, theta_parts
+from ncu2.theta import d_radial_closed, d_tau_closed, theta
+from ncu2.u2 import AElement
 
 W = FuncExpr.symbol("W")
 F = FuncExpr.symbol("F")
@@ -77,9 +78,13 @@ def test_evaluate_numeric():
 @settings(max_examples=30, deadline=None)
 @given(funcexprs())
 def test_theta_parts_decomposition(c):
-    diag, off = theta_parts(c)
-    assert diag == c + d_tau_closed(c).mul_scalar(HBAR)
-    assert off == d_radial_closed(c).mul_scalar(I * HBAR / RHAT)
+    """theta of a central c: (c + hbar d_tau c) on the diagonal and
+    (i hbar / rhat) d_radial c times each generator off it."""
+    comps = theta(AElement.from_coeff(c)).comps
+    assert comps[0] == AElement.from_coeff(c + d_tau_closed(c).mul_scalar(HBAR))
+    off = d_radial_closed(c).mul_scalar(I * HBAR / RHAT)
+    for k, name in enumerate("xyz", start=1):
+        assert comps[k] == AElement.gen(name).mul_scalar(off)
 
 
 def test_difference_operators_on_scalars():

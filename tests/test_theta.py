@@ -28,7 +28,6 @@ from ncu2.theta import (
     radial_extend,
     theta,
     theta_multiplicative,
-    theta_parts,
 )
 from ncu2.u2 import AElement
 
@@ -106,8 +105,9 @@ def _seeded_element(rng, coeff, terms=2, max_deg=2):
 
 def _theta_composed(a):
     """Oracle for theta(): per term c*m, theta(c) @ theta(x)^p @ theta(y)^q
-    @ theta(z)^e, with theta(c) = diag + off*(x E_x + y E_y + z E_z) and
-    the generator matrices written out here."""
+    @ theta(z)^e, with theta(c) = diag + off*(x E_x + y E_y + z E_z), diag =
+    c + hbar d_tau c and off = (i hbar / rhat) d_radial c from the closed
+    formulas, and the generator matrices written out here."""
     zero = AElement()
     ih = AElement.from_scalar(I * HBAR)
     gens = {}
@@ -117,7 +117,8 @@ def _theta_composed(a):
         gens[name] = ThetaMatrix(comps)
     total = ThetaMatrix.zero()
     for mono, c in a.terms.items():
-        diag, off = theta_parts(c)
+        diag = c + d_tau_closed(c) * HBAR
+        off = d_radial_closed(c) * (I * HBAR / RHAT)
         term = ThetaMatrix(
             [AElement.from_coeff(diag)] + [AElement.gen(n).mul_scalar(off) for n in "xyz"]
         )
