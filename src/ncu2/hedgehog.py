@@ -53,7 +53,8 @@ class SingularStepError(HedgehogError):
 
 
 class DomainError(HedgehogError):
-    """The radial lattice left the domain r > hbar."""
+    """The radial lattice left the domain r > hbar > 0, or its scale
+    overflows binary64 in the stencil or the marching determinant."""
 
 
 def eps(i: int, j: int, k: int) -> int:
@@ -340,7 +341,7 @@ def _stencil(r, h):
 
 
 def _march(init, h, r0, n):
-    """The march itself: a LatticeSolution, or the SingularStepError to raise.
+    """The march itself: a LatticeSolution, or the HedgehogError to raise.
 
     Raised here, the error would keep this frame, and with it every
     coefficient array, alive in its traceback.
@@ -348,12 +349,15 @@ def _march(init, h, r0, n):
     W = np.empty(n + 1)
     F = np.empty(n + 1)
     W[0], F[0], W[1], F[1] = init
-    # a coefficient that overflows binary64 (hbar near 0, r near the top of
-    # the range) leaves a det that is not finite, which counts as singular
+    # _stencil's coefficients are finite, so a det that is not finite is
+    # their product overflowing binary64: the input's scale left the domain
     with np.errstate(over="ignore", invalid="ignore"):
         (a11, a12, *known1), (a21, a22, *known2) = _stencil(r0 + h * np.arange(1, n), h)
         det = a11 * a22 - a12 * a21
-    small = np.flatnonzero(~np.isfinite(det) | (np.abs(det) < 1e-12))
+    bad = np.flatnonzero(~np.isfinite(det))
+    if bad.size:
+        return DomainError(f"the marching determinant overflows binary64 at node {int(bad[0]) + 1}, hbar = {h}")
+    small = np.flatnonzero(np.abs(det) < 1e-12)
     if small.size:
         k = int(small[0])
         return SingularStepError(
@@ -398,7 +402,8 @@ def march(init, hbar: float, r0: float, steps: int) -> LatticeSolution:
     interior node the two equations are affine in (W_{k+1}, F_{k+1});
     the 2x2 system is solved exactly in binary64.  Raises
     SingularStepError at the first node where that system is singular or
-    its solution is not finite, so no row returned is NaN or infinite.
+    its solution is not finite, and DomainError when its coefficients or
+    its determinant overflow binary64, so no row returned is NaN or infinite.
     """
     check_domain(hbar, r0)
     n = int(steps)
@@ -408,7 +413,7 @@ def march(init, hbar: float, r0: float, steps: int) -> LatticeSolution:
     if not all(map(math.isfinite, init)):
         raise HedgehogError(f"init values must be finite, got {init}")
     sol = _march(init, hbar, r0, n)
-    if isinstance(sol, SingularStepError):
+    if isinstance(sol, HedgehogError):
         raise sol
     return sol
 

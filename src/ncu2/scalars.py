@@ -166,13 +166,6 @@ def _pmods(poly):
     return out
 
 
-def _peval(poly, pt):
-    mods = _pmods(poly)
-    if mods is None:
-        return None
-    return _eval_mods(mods, pt)
-
-
 def _eval_mods(mods, pt):
     tot = 0
     for mono, gm in mods:
@@ -183,10 +176,10 @@ def _eval_mods(mods, pt):
 @lru_cache(maxsize=4096)
 def _root_point(v, r):
     """A GF(p) point with coordinate v set to r's value there, or None."""
-    rv = _peval(r, _PTS)
-    if rv is None:
+    mods = _pmods(r)
+    if mods is None:
         return None
-    return _PTS[:v] + (rv,) + _PTS[v + 1 :]
+    return _PTS[:v] + (_eval_mods(mods, _PTS),) + _PTS[v + 1 :]
 
 
 def _synthetic_quo(num, v, r):

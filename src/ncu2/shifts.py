@@ -28,6 +28,11 @@ def atom(name: str, p: int = 0, q: int = 0):
     return (name, p, q)
 
 
+def key_product(k1, k2):
+    """The atom key of the product of two atom keys (sorted tuples)."""
+    return tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
+
+
 def _atom_str(a) -> str:
     name, p, q = a
 
@@ -86,7 +91,7 @@ class FuncExpr(SparseSum):
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                accumulate(out, tuple(sorted(k1 + k2)), c1 * c2)
+                accumulate(out, key_product(k1, k2), c1 * c2)
         return self._new(out)
 
     __rmul__ = __mul__

@@ -17,23 +17,23 @@ coefficient's own type decides its arithmetic.  Both add, negate, test
 for zero with ``bool``, multiply with ``*`` (a Scalar times a FuncExpr
 through ``FuncExpr.__rmul__``) and shift their arguments with
 ``shift_args``.  :func:`sum_of_products` is the one AElement product
-loop: when every coefficient it sees is a Scalar it multiplies and adds
-on the packed integer kernel of ``scalars.product_parts``/``sum_parts``,
-so each output coefficient becomes a polynomial and is reduced once;
-otherwise it multiplies with ``*`` and folds.  Both element types scale
-through the one ``SparseSum.mul_scalar``, and put words in PBW order
-through ``sparse.normal_order`` with the pair rule ``_swap``.
+loop, for both types: it reads a coefficient as its (atom key, Scalar)
+terms, multiplies and adds them on the packed integer kernel of
+``scalars.product_parts``/``sum_parts``, and reduces each Scalar of an
+output coefficient once.  Both element types scale through the one
+``SparseSum.mul_scalar``, and put words in PBW order through
+``sparse.normal_order`` with the pair rule ``_swap``.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import (
     H, HBAR, I, ONE, RHAT, Scalar, TAU, ZERO, product_parts, solve2, sum_parts,
 )
+from .shifts import FuncExpr, key_product
 from .sparse import NUMBERS, SparseSum, accumulate, normal_order
 
 # letters: 0 = t, 1 = x, 2 = y, 3 = z
@@ -174,45 +174,42 @@ class CompactElement(SparseSum):
 # -- the AElement product loop ------------------------------------------------
 
 
-def _fold(items):
-    """The sum of ``sign * part * s`` over ``(sign, part, s)`` items, ``s``
-    a Scalar structure constant, added up in item order."""
-    out = {}
-    for sign, p, s in items:
-        if s is not ONE:
-            p = p * s
-        accumulate(out, None, p if sign > 0 else -p)
-    return out.get(None, ZERO)
+def _coeff_terms(c):
+    """A coefficient as its (atom key, Scalar) terms; a Scalar is the one
+    term with key ()."""
+    return (((), c),) if type(c) is Scalar else tuple(c.terms.items())
 
 
 def sum_of_products(pairs):
     """The AElement sum of ``sign * x * y`` over ``(sign, x, y)`` pairs of
-    AElements: the one AElement product loop.
+    AElements: the one AElement product loop, for both coefficient types.
 
-    Each pair of terms becomes one coefficient product; the products are
-    gathered per output monomial with their structure constants, and
-    each output coefficient is summed once.  When every coefficient in
-    the pairs is a Scalar, the product is ``scalars.product_parts`` and
-    the sum ``scalars.sum_parts``, both on packed Gaussian-integer
-    numerators, and the sum is reduced once; otherwise ``*`` and a fold.
+    Each pair of coefficient terms becomes one ``scalars.product_parts``
+    on packed Gaussian-integer numerators, filed under its output
+    monomial and merged atom key with its structure constant; each such
+    bucket is summed and reduced once by ``scalars.sum_parts``.  An
+    output coefficient is a FuncExpr exactly when a FuncExpr coefficient
+    reached its monomial, so the printed forms keep ``((c))``.
     """
-    exact = all(
-        type(c) is Scalar for _, x, y in pairs for e in (x, y) for c in e.terms.values()
-    )
-    mul, total = (product_parts, sum_parts) if exact else (operator.mul, _fold)
-    buckets = {}
+    buckets = {}  # output monomial -> {atom key: [(sign, part, s), ...]}
+    lifted = set()  # output monomials that a FuncExpr coefficient reached
     for sign, x, y in pairs:
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                p = mul(c1, c2)
+                parts = [
+                    (key_product(k1, k2), product_parts(s1, s2))
+                    for k1, s1 in _coeff_terms(c1) for k2, s2 in _coeff_terms(c2)
+                ]
                 for m, s in _amono_mul(m1, m2):
-                    buckets.setdefault(m, []).append((sign, p, s))
-    out = AElement()
-    for m, items in buckets.items():
-        c = total(items)
-        if c:
-            out.terms[m] = c
-    return out
+                    if FuncExpr in (type(c1), type(c2)):
+                        lifted.add(m)
+                    bucket = buckets.setdefault(m, {})
+                    for k, p in parts:
+                        bucket.setdefault(k, []).append((sign, p, s))
+    return AElement({
+        m: FuncExpr({k: sum_parts(v) for k, v in b.items()}) if m in lifted else sum_parts(b[()])
+        for m, b in buckets.items()
+    })
 
 
 class AElement(SparseSum):

@@ -164,6 +164,9 @@ def _solve(r0, hbar, steps, init="classical"):
 @example(argv=_solve("1e301", "1e300", "40"))
 @example(argv=_solve("1e300", "1e-300", "3"))
 @example(argv=["rep-check", "--two-j", "3", "--hbar", "1e10000000"])
+# finite stencil coefficients whose determinant overflows binary64: a
+# domain error (exit 2), not a singular march (exit 1)
+@example(argv=_solve("1.5", "1e-160", "7"))
 @example(argv=_solve("1", "1/16", "4", init="<missing>"))
 @example(argv=_solve("1", "1/16", "4", init=("bytes", b"\xff")))
 def test_cli_never_raises(argv, tmp_path):
@@ -184,3 +187,10 @@ def test_cli_never_raises(argv, tmp_path):
         assert rc == 2 or argv[0] == "solve-hedgehog", (argv, err)
     else:
         assert _check_failed(argv, out), (argv, out)
+
+
+def test_an_overflowed_marching_determinant_is_a_domain_error():
+    for argv in (_solve("1", "1e-300", "40"), _solve("1.5", "1e-160", "7")):
+        rc, out, err = _run(argv)
+        assert (rc, out) == (2, ""), (argv, rc, err)
+        assert err.startswith("ncu2: the marching determinant overflows binary64 at node 1,"), (argv, err)

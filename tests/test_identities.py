@@ -13,10 +13,10 @@ import random
 
 import pytest
 
-from ncu2 import hedgehog, identities, theta, u2
+from ncu2 import glweyl, hedgehog, identities, theta, u2
 from ncu2.cli import main
 from ncu2.identities import random_central, run_suite
-from ncu2.scalars import HBAR, ONE
+from ncu2.scalars import H, HBAR, ONE
 from ncu2.shifts import FuncExpr
 from ncu2.theta import d_tau_closed
 
@@ -51,6 +51,27 @@ def test_a_wrong_ingredient_fails_the_suite(suite, mutate, monkeypatch, capsys):
     assert any(not e["match"] and e["note"] for e in entries)
     assert main(["verify", "--suite", suite]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_a_wrong_permutation_rule_fails_the_perm_table(monkeypatch, capsys):
+    assert run_suite("perm-table")[1]
+    right = glweyl._rewrite_pair
+    d11_l11 = (glweyl.dsym(1, 1), glweyl.lsym(1, 1))
+
+    # d[1,1] l[1,1] = l[1,1] d[1,1] + 1 + h d[1,1] gets the weight h + hbar^2;
+    # a new rule object misses normal_order's cache, so no stale word survives
+    def wrong(s1, s2):
+        out = right(s1, s2)
+        if (s1, s2) == d11_l11:
+            out = [(w, H + HBAR**2 if c == H else c) for w, c in out]
+        return out
+
+    monkeypatch.setattr(glweyl, "_rewrite_pair", wrong)
+    entries, passed = run_suite("perm-table")
+    assert not passed
+    assert [e["id"] for e in entries if not e["match"]] == ["perm/hpa_a.a"]
+    assert main(["verify", "--suite", "perm-table"]) == 1
+    assert "FAIL perm/hpa_a.a" in capsys.readouterr().out
 
 
 def _flip_the_cross_term_of_m(monkeypatch):

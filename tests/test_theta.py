@@ -130,11 +130,13 @@ def _theta_composed(a):
 
 
 def _assert_reduced(tm):
-    """No denominator factor of a Scalar coefficient divides its numerator."""
+    """No denominator factor of a Scalar coefficient, or of a Scalar inside
+    a FuncExpr coefficient, divides its numerator."""
     for comp in tm.comps:
         for c in comp.terms.values():
-            for f, _ in c.den:
-                assert c.num.div(f)[1], f"{f} divides the numerator of {c}"
+            for s in c.terms.values() if isinstance(c, FuncExpr) else (c,):
+                for f, _ in s.den:
+                    assert s.num.div(f)[1], f"{f} divides the numerator of {s}"
 
 
 @pytest.mark.parametrize("coeff, terms", [(Scalar, 2), (FuncExpr, 1)], ids=["Scalar-2", "FuncExpr-1"])
@@ -150,9 +152,8 @@ def test_batched_theta_and_product_match_their_oracles(coeff, terms):
         assert all(ta.comps) and all(tb.comps)
         prod = ta @ tb
         assert prod == _matmul_dense(ta, tb)
-        if coeff is Scalar:
-            _assert_reduced(ta)
-            _assert_reduced(prod)
+        _assert_reduced(ta)
+        _assert_reduced(prod)
 
 
 def test_theta_of_radius():

@@ -7,7 +7,7 @@ import pytest
 from ncu2.glweyl import compact_generators_as_gl
 from ncu2.identities import random_central, random_monomial_element
 from ncu2.scalars import H, HBAR, I, ONE, RHAT, TAU, Scalar, rational
-from ncu2.shifts import FuncExpr
+from ncu2.shifts import FuncExpr, atom
 from ncu2.sparse import accumulate
 from ncu2.u2 import (
     AElement,
@@ -17,6 +17,7 @@ from ncu2.u2 import (
     generating_matrix,
     quantum_radius_square,
     reduce_casimir,
+    sum_of_products,
     to_compact,
 )
 
@@ -126,10 +127,12 @@ def _product_per_term(x, y):
 
 
 def _assert_reduced(e):
-    """No denominator factor of a Scalar coefficient divides its numerator."""
+    """No denominator factor of a Scalar coefficient, or of a Scalar inside
+    a FuncExpr coefficient, divides its numerator."""
     for c in e.terms.values():
-        for f, _ in c.den:
-            assert c.num.div(f)[1], f"{f} divides the numerator of {c}"
+        for s in c.terms.values() if isinstance(c, FuncExpr) else (c,):
+            for f, _ in s.den:
+                assert s.num.div(f)[1], f"{f} divides the numerator of {s}"
 
 
 def _seeded_element(rng, coeff, terms=3, max_deg=3):
@@ -149,6 +152,10 @@ def _coeff_types(e):
     return {type(c) for c in e.terms.values()}
 
 
+def _types(e):
+    return {m: type(c) for m, c in e.terms.items()}
+
+
 @pytest.mark.parametrize("coeff", [Scalar, FuncExpr], ids=["Scalar", "FuncExpr"])
 def test_product_matches_the_per_term_product(coeff):
     rng = random.Random(17)
@@ -158,8 +165,7 @@ def test_product_matches_the_per_term_product(coeff):
         xy = x * y
         assert xy == _product_per_term(x, y)
         assert _coeff_types(xy) == {coeff}
-        if coeff is Scalar:
-            _assert_reduced(xy)
+        _assert_reduced(xy)
 
 
 def test_mixed_product_lifts_to_funcexpr():
@@ -173,3 +179,31 @@ def test_mixed_product_lifts_to_funcexpr():
         for got, want in ((x * y, lifted * y), (y * x, y * lifted)):
             assert got == want
             assert _coeff_types(got) == {FuncExpr}
+            _assert_reduced(got)
+
+
+def test_a_coefficient_is_a_funcexpr_where_a_funcexpr_met_it():
+    """On an element with both coefficient types, each output monomial
+    keeps a Scalar where only Scalars met and a FuncExpr where W did."""
+    w = FuncExpr.symbol("W")
+    e = AElement.gen("x") + AElement.from_coeff(w)
+    y = AElement.gen("y")
+    got = e * y
+    assert got.terms == {(1, 1, 0): ONE, (0, 1, 0): w}
+    assert _types(got) == {(1, 1, 0): Scalar, (0, 1, 0): FuncExpr}
+    assert str(got) == "((1)*W(tau, rhat))*y + (1)*x*y"
+    # y*x = x*y - h*z: both terms of the structure constant stay Scalar
+    got = y * e
+    assert got.terms == {(1, 1, 0): ONE, (0, 0, 1): -H, (0, 1, 0): w}
+    assert _types(got) == {(1, 1, 0): Scalar, (0, 0, 1): Scalar, (0, 1, 0): FuncExpr}
+
+
+def test_terms_that_cancel_drop_their_atom_key():
+    """W*x*y - W*x*y cancels inside the one output coefficient x*y, whose
+    F term survives; cancelling every term drops the monomial."""
+    w, f = FuncExpr.symbol("W"), FuncExpr.symbol("F")
+    x, y = AElement.gen("x"), AElement.gen("y")
+    got = sum_of_products([(1, x.mul_scalar(w + f), y), (-1, x.mul_scalar(w), y)])
+    assert got.terms == {(1, 1, 0): f}
+    assert set(got.terms[(1, 1, 0)].terms) == {(atom("F"),)}
+    assert not sum_of_products([(1, x.mul_scalar(w), y), (-1, x.mul_scalar(w), y)]).terms
